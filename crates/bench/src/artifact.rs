@@ -6,8 +6,8 @@
 //! [`check_artifact_text`] validates `BENCH_lutgemm.json`;
 //! [`check_serve_artifact_text`] validates `BENCH_serve.json`, including
 //! the sanity ordering the serving harness must reproduce (percentiles
-//! monotone, overload p99 strictly above p50, adaptive low-load SLO
-//! conformance ≥ 0.5). Every problem names the offending field by path
+//! monotone, overload p99 strictly above p50, low-load SLO conformance
+//! ≥ 0.5). Every problem names the offending field by path
 //! (e.g. `scenarios[3].p99_ms`) so a red CI job is actionable without
 //! rerunning anything. Tests at the bottom also validate the artifacts
 //! committed at the repo root, so a schema change can't land while the
@@ -38,17 +38,6 @@ const MODEL_SERVE_FIELDS: &[&str] = &[
     "lut_stages",
     "dense_stages",
     "serve_rows_per_s",
-];
-
-/// Fields the whole-model `"adaptive_serve"` block must carry.
-const ADAPTIVE_SERVE_FIELDS: &[&str] = &[
-    "model",
-    "images",
-    "submitters",
-    "lut_stages",
-    "dense_stages",
-    "serve_rows_per_s",
-    "max_stage_window",
 ];
 
 /// Fields the `"encode_once"` block must carry.
@@ -82,7 +71,6 @@ const TOP_FIELDS: &[&str] = &[
     "points",
     "encode_once",
     "model_serve",
-    "adaptive_serve",
 ];
 
 /// Validates the text of a `BENCH_lutgemm.json` artifact. Returns every
@@ -120,13 +108,8 @@ pub fn check_artifact_text(text: &str) -> Result<(), String> {
             }
         }
     }
-    for (block, fields) in [
-        ("model_serve", MODEL_SERVE_FIELDS),
-        ("adaptive_serve", ADAPTIVE_SERVE_FIELDS),
-    ] {
-        if let Some(value) = doc.get(block) {
-            require_fields(value, fields, block, &mut problems);
-        }
+    if let Some(value) = doc.get("model_serve") {
+        require_fields(value, MODEL_SERVE_FIELDS, "model_serve", &mut problems);
     }
     if let Some(block) = doc.get("encode_once") {
         let full = doc.get("mode").and_then(Json::as_str) == Some("full");
@@ -159,7 +142,6 @@ const SERVE_TOP_FIELDS: &[&str] = &[
 const SCENARIO_FIELDS: &[&str] = &[
     "name",
     "model",
-    "policy",
     "load",
     "arrival",
     "requests",
@@ -181,7 +163,6 @@ const STAGE_FIELDS: &[&str] = &[
     "batches_run",
     "rows_served",
     "queued_high_water",
-    "final_window",
     "mean_service_us",
 ];
 
@@ -345,7 +326,7 @@ pub fn check_serve_artifact_text(text: &str) -> Result<(), String> {
 }
 
 /// One scenario: fields, positivity, percentile ordering, conformance
-/// range, the overload/adaptive sanity constraints, and stage counters.
+/// range, the overload/low-load sanity constraints, and stage counters.
 fn check_scenario(sc: &Json, at: &str, problems: &mut Vec<String>) {
     require_fields(sc, SCENARIO_FIELDS, at, problems);
     if sc.as_obj().is_none() {
@@ -361,10 +342,8 @@ fn check_scenario(sc: &Json, at: &str, problems: &mut Vec<String>) {
         }
     }
     // The name is derived, so a mislabeled row is caught here.
-    if let (Some(name), Some(model), Some(policy), Some(load)) =
-        (s("name"), s("model"), s("policy"), s("load"))
-    {
-        let expect = format!("{model}_{policy}_{load}");
+    if let (Some(name), Some(model), Some(load)) = (s("name"), s("model"), s("load")) {
+        let expect = format!("{model}_{load}");
         if name != expect {
             problems.push(format!("{at}.name = \"{name}\", expected \"{expect}\""));
         }
@@ -393,11 +372,11 @@ fn check_scenario(sc: &Json, at: &str, problems: &mut Vec<String>) {
         if !(0.0..=1.0).contains(&x) {
             problems.push(format!("{at}.slo_conformance = {x} (must be in [0, 1])"));
         }
-        // The adaptive policy's reason to exist: at a quarter of the
-        // service rate it must meet the SLO most of the time.
-        if s("policy") == Some("adaptive") && s("load") == Some("low") && x < 0.5 {
+        // At a quarter of the service rate the session must meet the SLO
+        // most of the time.
+        if s("load") == Some("low") && x < 0.5 {
             problems.push(format!(
-                "{at}.slo_conformance = {x} (adaptive low-load must be >= 0.5)"
+                "{at}.slo_conformance = {x} (low-load must be >= 0.5)"
             ));
         }
     }
@@ -830,10 +809,7 @@ mod tests {
                   "memo_rows": 128, "memo_cold_rows_per_s": 1200000.0,
                   "memo_warm_rows_per_s": 5400000.0, "memo_warm_speedup": 4.5},
   "model_serve": {"model": "resnet20_mini", "images": 16, "lut_stages": 5,
-                  "dense_stages": 4, "serve_rows_per_s": 40.0},
-  "adaptive_serve": {"model": "resnet20_mini", "images": 16, "submitters": 2,
-                     "lut_stages": 5, "dense_stages": 4,
-                     "serve_rows_per_s": 42.0, "max_stage_window": 64}
+                  "dense_stages": 4, "serve_rows_per_s": 40.0}
 }"#
         .to_string()
     }
@@ -858,13 +834,6 @@ mod tests {
     }
 
     #[test]
-    fn missing_adaptive_block_fails() {
-        let doc = valid_doc().replace("\"adaptive_serve\"", "\"renamed_serve\"");
-        let err = check_artifact_text(&doc).expect_err("missing block");
-        assert!(err.contains("adaptive_serve"), "{err}");
-    }
-
-    #[test]
     fn missing_point_field_fails() {
         let doc = valid_doc().replace("\"serve_vs_batch\": 0.8", "\"extra\": 0.8");
         let err = check_artifact_text(&doc).expect_err("missing field");
@@ -877,7 +846,7 @@ mod tests {
     #[test]
     fn non_numeric_throughput_fails() {
         let doc = valid_doc().replace(
-            "\"serve_rows_per_s\": 42.0",
+            "\"serve_rows_per_s\": 40.0",
             "\"serve_rows_per_s\": \"fast\"",
         );
         let err = check_artifact_text(&doc).expect_err("non-numeric");
@@ -999,21 +968,21 @@ mod tests {
   "requests_per_scenario": 40,
   "host_cpus": 4,
   "scenarios": [
-    {"name": "convnet_adaptive_low", "model": "convnet", "policy": "adaptive",
+    {"name": "convnet_low", "model": "convnet",
      "load": "low", "arrival": "poisson", "requests": 40,
      "offered_rps": 100.0, "achieved_rps": 98.0,
      "p50_ms": 2.1, "p95_ms": 2.8, "p99_ms": 3.0, "max_ms": 3.2,
      "mean_ms": 2.2, "slo_ms": 6.0, "slo_conformance": 0.97, "stages": [
        {"stage": "conv1", "batches_run": 40, "rows_served": 40,
-        "queued_high_water": 2, "final_window": 1, "mean_service_us": 410.0}
+        "queued_high_water": 2, "mean_service_us": 410.0}
      ]},
-    {"name": "convnet_adaptive_overload", "model": "convnet",
-     "policy": "adaptive", "load": "overload", "arrival": "poisson",
+    {"name": "convnet_overload", "model": "convnet",
+     "load": "overload", "arrival": "poisson",
      "requests": 40, "offered_rps": 3200.0, "achieved_rps": 400.0,
      "p50_ms": 40.0, "p95_ms": 85.0, "p99_ms": 92.0, "max_ms": 95.0,
      "mean_ms": 45.0, "slo_ms": 6.0, "slo_conformance": 0.05, "stages": [
        {"stage": "conv1", "batches_run": 5, "rows_served": 40,
-        "queued_high_water": 8, "final_window": 16, "mean_service_us": 900.0}
+        "queued_high_water": 8, "mean_service_us": 900.0}
      ]}
   ],
   "gateway_scenarios": [
@@ -1032,7 +1001,7 @@ mod tests {
         "p50_ms": 2.4, "p99_ms": 3.8}
      ], "stages": [
        {"stage": "cnn_a/conv1", "batches_run": 12, "rows_served": 20,
-        "queued_high_water": 2, "final_window": 1, "mean_service_us": 410.0}
+        "queued_high_water": 2, "mean_service_us": 410.0}
      ]},
     {"name": "gateway_mixed_overload", "load": "overload", "arrival": "poisson",
      "models": 2, "tenants": 6, "requests": 40, "admitted": 31, "shed": 9,
@@ -1049,7 +1018,7 @@ mod tests {
         "p50_ms": 20.0, "p99_ms": 55.0}
      ], "stages": [
        {"stage": "cnn_a/conv1", "batches_run": 6, "rows_served": 16,
-        "queued_high_water": 8, "final_window": 16, "mean_service_us": 900.0}
+        "queued_high_water": 8, "mean_service_us": 900.0}
      ]},
     {"name": "gateway_memo_dup_low", "load": "low", "arrival": "poisson",
      "models": 2, "tenants": 6, "requests": 40, "admitted": 40, "shed": 0,
@@ -1066,7 +1035,7 @@ mod tests {
         "p50_ms": 2.2, "p99_ms": 3.4}
      ], "stages": [
        {"stage": "cnn_a/conv1", "batches_run": 10, "rows_served": 20,
-        "queued_high_water": 2, "final_window": 1, "mean_service_us": 380.0}
+        "queued_high_water": 2, "mean_service_us": 380.0}
      ]}
   ],
   "decode_scenarios": [
@@ -1123,12 +1092,12 @@ mod tests {
     }
 
     #[test]
-    fn serve_adaptive_low_conformance_floor() {
+    fn serve_low_load_conformance_floor() {
         let doc =
             valid_serve_doc().replace("\"slo_conformance\": 0.97", "\"slo_conformance\": 0.2");
         let err = check_serve_artifact_text(&doc).expect_err("missed SLO");
         assert!(
-            err.contains("scenarios[0].slo_conformance = 0.2 (adaptive low-load must be >= 0.5)"),
+            err.contains("scenarios[0].slo_conformance = 0.2 (low-load must be >= 0.5)"),
             "{err}"
         );
     }
@@ -1144,17 +1113,17 @@ mod tests {
     #[test]
     fn serve_mislabeled_name_fails() {
         let doc = valid_serve_doc().replace(
-            "\"name\": \"convnet_adaptive_low\"",
-            "\"name\": \"convnet_static_low\"",
+            "\"name\": \"convnet_low\"",
+            "\"name\": \"convnet_overload\"",
         );
         let err = check_serve_artifact_text(&doc).expect_err("bad name");
-        assert!(err.contains("expected \"convnet_adaptive_low\""), "{err}");
+        assert!(err.contains("expected \"convnet_low\""), "{err}");
     }
 
     #[test]
     fn serve_empty_stages_fails() {
         let doc = valid_serve_doc().replacen(
-            "\"stages\": [\n       {\"stage\": \"conv1\", \"batches_run\": 40, \"rows_served\": 40,\n        \"queued_high_water\": 2, \"final_window\": 1, \"mean_service_us\": 410.0}\n     ]",
+            "\"stages\": [\n       {\"stage\": \"conv1\", \"batches_run\": 40, \"rows_served\": 40,\n        \"queued_high_water\": 2, \"mean_service_us\": 410.0}\n     ]",
             "\"stages\": []",
             1,
         );

@@ -2,16 +2,12 @@
 //! (`approx_matmul_with_precision`) versus the batched [`LutEngine`] (at
 //! one and several worker threads) versus the micro-batched serving front
 //! door ([`MicroBatcher`], single-row submits coalesced back into batches),
-//! across representative `M×K×N×c×v` points — plus two **whole-model**
-//! serving measurements (`ModelSession` pipelining submitted images
-//! through every layer of a converted ResNet proxy): the static per-stage
-//! window (`model_serve`) and the adaptive per-stage policy
-//! (`adaptive_serve`, requests produced by concurrent feeder threads and
-//! drained through the session's single-threaded front door —
-//! `ModelSession` deliberately serializes `submit`), so cross-layer
-//! amortization and the batch-policy controller both show up next to the
-//! per-layer numbers. Emits `BENCH_lutgemm.json` so every CI run leaves a
-//! perf data point on the record.
+//! across representative `M×K×N×c×v` points — plus a **whole-model**
+//! serving measurement (`model_serve`: a `ModelSession` running submitted
+//! images through every layer of a converted ResNet proxy), so cross-layer
+//! amortization shows up next to the per-layer numbers. Emits
+//! `BENCH_lutgemm.json` so every CI run leaves a perf data point on the
+//! record.
 //!
 //! Usage:
 //!
@@ -23,8 +19,8 @@
 //! the default runs the full grid, including the acceptance point
 //! `M=256, K=1024, N=1024, v=4, c=16`. `--check PATH` runs no benchmark:
 //! it validates an existing artifact against the expected schema (all
-//! fields present, every `*_rows_per_s` strictly positive, `model_serve`,
-//! `adaptive_serve`, and `encode_once` blocks in place) and exits non-zero
+//! fields present, every `*_rows_per_s` strictly positive, `model_serve`
+//! and `encode_once` blocks in place) and exits non-zero
 //! on any problem — the CI gate that keeps the artifact from silently
 //! rotting.
 //!
@@ -44,9 +40,9 @@ use lutdla_models::trainable::resnet20_mini;
 use lutdla_nn::{Graph, ImageModel, ParamSet};
 use lutdla_tensor::Tensor;
 use lutdla_vq::{
-    approx_matmul_with_precision, default_workers, share, AdaptiveOptions, BatchOptions,
-    BatchPolicy, Distance, EncodeMemo, EngineOptions, FloatPrecision, LutEngine, LutQuant,
-    LutTable, MicroBatcher, Pending, ProductQuantizer, TileTables,
+    approx_matmul_with_precision, default_workers, share, BatchOptions, Distance, EncodeMemo,
+    EngineOptions, FloatPrecision, LutEngine, LutQuant, LutTable, MicroBatcher, Pending,
+    ProductQuantizer, TileTables,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -153,9 +149,9 @@ fn main() {
         results.push(run_point(p, iters, mt_workers));
     }
     let encode_once = run_encode_once(smoke, iters);
-    let (model, adaptive) = run_model_serves(smoke, iters);
+    let model = run_model_serve(smoke, iters);
 
-    let json = to_json(&results, &encode_once, &model, &adaptive, smoke, mt_workers);
+    let json = to_json(&results, &encode_once, &model, smoke, mt_workers);
     std::fs::write(&out_path, &json).expect("write BENCH_lutgemm.json");
     println!("wrote {out_path}");
 }
@@ -168,31 +164,10 @@ struct ModelMeasurement {
     serve_rows_per_s: f64,
 }
 
-struct AdaptiveMeasurement {
-    model: &'static str,
-    images: usize,
-    /// Request-producer threads feeding the serving loop's channel. The
-    /// `ModelSession` front door itself is single-threaded (`!Sync`), so
-    /// this is the arrival-stream fan-in, not parallel `submit` calls —
-    /// the per-layer `points[].serve_rows_per_s` measurement is where
-    /// genuinely parallel submitters hit one batcher.
-    submitters: usize,
-    lut_stages: usize,
-    dense_stages: usize,
-    serve_rows_per_s: f64,
-    /// Widest per-stage window the adaptive controllers converged to —
-    /// direct evidence the policy actually widened under the request
-    /// stream (1 would mean every stage stayed collapsed).
-    max_stage_window: usize,
-}
-
-/// Whole-model serving: images submitted through a `ModelSession`
-/// (per-stage micro-batchers over cached engines for converted units, the
-/// dense path for the rest), against a LUTBoost-converted ResNet-20 proxy.
-/// Measured twice over one converted model: the static per-stage window,
-/// then the adaptive per-stage policy with requests produced by
-/// `SERVE_SUBMITTERS` feeder threads and drained on the serving thread.
-fn run_model_serves(smoke: bool, iters: usize) -> (ModelMeasurement, AdaptiveMeasurement) {
+/// Whole-model serving: images submitted through a `ModelSession` (cached
+/// engines called directly for converted units, the dense path for the
+/// rest), against a LUTBoost-converted ResNet-20 proxy.
+fn run_model_serve(smoke: bool, iters: usize) -> ModelMeasurement {
     let images = if smoke { 16 } else { 96 };
     let flush_every = 32;
     println!("model serve: resnet20_mini, {images} images");
@@ -251,75 +226,7 @@ fn run_model_serves(smoke: bool, iters: usize) -> (ModelMeasurement, AdaptiveMea
         "  {} LUT stages + {} dense | whole-model serve {:>8.0} images/s",
         meas.lut_stages, meas.dense_stages, meas.serve_rows_per_s,
     );
-    drop(session);
-
-    // Same converted model, adaptive per-stage policy: every LUT stage's
-    // window widens/collapses independently. SERVE_SUBMITTERS feeder
-    // threads produce the request stream; the serving thread drains the
-    // channel into submit/flush (the front door serializes submits — the
-    // pressure the stages adapt to is the block backlog per flush).
-    let cfg = rt.config();
-    let policy = BatchPolicy::Adaptive(AdaptiveOptions {
-        min_batch: 1,
-        max_batch: 4096,
-        ..AdaptiveOptions::default()
-    });
-    let session = rt.serve(&net, &ps).config(cfg).policy(policy).build_model();
-    let served = session.run((0..images).map(image)).expect("valid images");
-    assert!(
-        served.allclose(&reference, 0.0),
-        "adaptive-policy session is not bit-identical to the deployed eval path"
-    );
-    let adaptive_s = best_of(iters, || {
-        std::thread::scope(|s| {
-            let (tx, rx) = std::sync::mpsc::channel::<usize>();
-            for t in 0..SERVE_SUBMITTERS {
-                let tx = tx.clone();
-                s.spawn(move || {
-                    let mut i = t;
-                    while i < images {
-                        tx.send(i).expect("serving loop alive");
-                        i += SERVE_SUBMITTERS;
-                    }
-                });
-            }
-            drop(tx);
-            let mut handles = Vec::with_capacity(flush_every);
-            for i in rx {
-                handles.push(session.submit(image(i)).expect("valid image"));
-                if handles.len() == flush_every {
-                    session.flush();
-                    for h in handles.drain(..) {
-                        std::hint::black_box(h.wait().expect("session alive"));
-                    }
-                }
-            }
-            session.flush();
-            for h in handles.drain(..) {
-                std::hint::black_box(h.wait().expect("session alive"));
-            }
-        });
-    });
-    let max_stage_window = session
-        .stage_stats()
-        .iter()
-        .map(|(_, st)| st.current_window)
-        .max()
-        .unwrap_or(0);
-    let adaptive = AdaptiveMeasurement {
-        model: meas.model,
-        images,
-        submitters: SERVE_SUBMITTERS,
-        lut_stages: meas.lut_stages,
-        dense_stages: meas.dense_stages,
-        serve_rows_per_s: images as f64 / adaptive_s,
-        max_stage_window,
-    };
-    println!(
-        "  adaptive policy x{} submitters | whole-model serve {:>8.0} images/s | widest stage window {}",
-        adaptive.submitters, adaptive.serve_rows_per_s, adaptive.max_stage_window,
-    );
-    (meas, adaptive)
+    meas
 }
 
 struct EncodeOnceMeasurement {
@@ -639,7 +546,6 @@ fn to_json(
     results: &[Measurement],
     encode_once: &EncodeOnceMeasurement,
     model: &ModelMeasurement,
-    adaptive: &AdaptiveMeasurement,
     smoke: bool,
     mt_workers: usize,
 ) -> String {
@@ -708,20 +614,8 @@ fn to_json(
     ));
     s.push_str(&format!(
         "  \"model_serve\": {{\"model\": \"{}\", \"images\": {}, \"lut_stages\": {}, \
-         \"dense_stages\": {}, \"serve_rows_per_s\": {:.1}}},\n",
+         \"dense_stages\": {}, \"serve_rows_per_s\": {:.1}}}\n",
         model.model, model.images, model.lut_stages, model.dense_stages, model.serve_rows_per_s,
-    ));
-    s.push_str(&format!(
-        "  \"adaptive_serve\": {{\"model\": \"{}\", \"images\": {}, \"submitters\": {}, \
-         \"lut_stages\": {}, \"dense_stages\": {}, \"serve_rows_per_s\": {:.1}, \
-         \"max_stage_window\": {}}}\n",
-        adaptive.model,
-        adaptive.images,
-        adaptive.submitters,
-        adaptive.lut_stages,
-        adaptive.dense_stages,
-        adaptive.serve_rows_per_s,
-        adaptive.max_stage_window,
     ));
     s.push_str("}\n");
     s

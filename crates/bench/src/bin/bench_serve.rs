@@ -1,8 +1,7 @@
 //! Open-loop serving latency benchmark: a deterministic arrival process
 //! (seeded Poisson by default, `--fixed` for evenly spaced) replayed
 //! against whole-model [`ModelSession`]s across the scenario matrix
-//! model (`convnet`/`transformer`) × policy (`static`/`adaptive`) × load
-//! (`low`/`overload`), reporting p50/p95/p99 latency from *scheduled*
+//! model (`convnet`/`transformer`) × load (`low`/`overload`), reporting p50/p95/p99 latency from *scheduled*
 //! arrival to resolution, achieved vs offered rate, SLO-conformance, and
 //! final per-stage counters. A second `gateway_*` scenario family drives
 //! the multi-tenant [`ServeGateway`] (2 models × 3 SLO-class tenants each,
@@ -25,8 +24,8 @@
 //! matrix (the CI mode) — every family, including a decode scenario per
 //! load, still runs. `--check PATH` runs no benchmark: it validates an
 //! existing artifact against the expected schema plus the sanity ordering
-//! (p50 ≤ p95 ≤ p99, overload p99 > p50, adaptive low-load SLO
-//! conformance ≥ 0.5), the gateway admission gates (`shed_ratio` in
+//! (p50 ≤ p95 ≤ p99, overload p99 > p50, low-load SLO conformance
+//! ≥ 0.5), the gateway admission gates (`shed_ratio` in
 //! `[0, 1]` and consistent with `shed / requests`, admitted + shed =
 //! requests, every admitted request served, latency-class p99 ≤
 //! best-effort p99 under overload), and the decode gates (per-token

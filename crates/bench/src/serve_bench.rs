@@ -1,8 +1,7 @@
 //! Open-loop serving benchmark behind the `bench_serve` binary.
 //!
-//! Sweeps a scenario matrix — model (`convnet`/`transformer`) × batch
-//! policy (`static`/`adaptive`) × offered load (`low`/`overload`) —
-//! against builder-constructed [`ModelSession`]s
+//! Sweeps a scenario matrix — model (`convnet`/`transformer`) × offered
+//! load (`low`/`overload`) — against builder-constructed [`ModelSession`]s
 //! ([`LutRuntime::serve`]). Each scenario
 //! replays a deterministic arrival schedule ([`ArrivalProcess`]) and
 //! submits requests at their *scheduled* instants regardless of server
@@ -54,12 +53,12 @@ use lutdla_lutboost::{
 use lutdla_models::trainable::{distilbert_mini, gpt_mini, resnet20_mini, ConvNet, ServableModel};
 use lutdla_nn::ParamSet;
 use lutdla_tensor::Tensor;
-use lutdla_vq::{AdaptiveOptions, BatchOptions, BatchPolicy, Pending, ServeError, StageStats};
+use lutdla_vq::{Pending, ServeError, StageStats};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 /// Submitted-but-unflushed backlog that forces a flush under overload, so
-/// coalescing windows (and the adaptive controller) see real batches.
+/// the session's front door coalesces real batches.
 const BURST: usize = 8;
 
 /// The gateway drive's backlog threshold. Larger than [`BURST`] on
@@ -142,23 +141,19 @@ pub struct StageRow {
     pub batches_run: usize,
     /// Rows served.
     pub rows_served: usize,
-    /// Largest per-flush drain observed.
+    /// Widest engine call observed, in rows.
     pub queued_high_water: usize,
-    /// Window the policy ended on (tracks the controller when adaptive).
-    pub final_window: usize,
-    /// Mean engine service time per flush, in microseconds.
+    /// Mean engine service time per call, in microseconds.
     pub mean_service_us: f64,
 }
 
 /// One cell of the scenario matrix, measured.
 #[derive(Debug, Clone)]
 pub struct ScenarioResult {
-    /// `{model}_{policy}_{load}`.
+    /// `{model}_{load}`.
     pub name: String,
     /// `convnet` or `transformer`.
     pub model: &'static str,
-    /// `static` or `adaptive`.
-    pub policy: &'static str,
     /// `low` or `overload`.
     pub load: &'static str,
     /// `poisson` or `fixed`.
@@ -342,27 +337,6 @@ pub fn run(cfg: ServeBenchConfig) -> ServeReport {
     }
 }
 
-/// The policy half of the matrix, shared by both models.
-fn policies() -> [(&'static str, BatchPolicy); 2] {
-    [
-        (
-            "static",
-            BatchPolicy::Static(BatchOptions {
-                max_batch: 64,
-                max_delay: Duration::from_millis(1),
-            }),
-        ),
-        (
-            "adaptive",
-            BatchPolicy::Adaptive(AdaptiveOptions {
-                min_batch: 1,
-                max_batch: 64,
-                ..AdaptiveOptions::default()
-            }),
-        ),
-    ]
-}
-
 fn run_convnet(cfg: ServeBenchConfig, out: &mut Vec<ScenarioResult>) {
     let images = 16;
     let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0xc0e);
@@ -408,7 +382,7 @@ fn run_transformer(cfg: ServeBenchConfig, out: &mut Vec<ScenarioResult>) {
 }
 
 /// Calibrates the model's batch-1 service latency, then measures every
-/// policy × load cell.
+/// load level.
 fn run_model<M: ServableModel>(
     cfg: ServeBenchConfig,
     model_name: &'static str,
@@ -418,7 +392,6 @@ fn run_model<M: ServableModel>(
     out: &mut Vec<ScenarioResult>,
 ) {
     let mut rt = LutRuntime::new(lutdla_lutboost::DeployConfig::bf16_int8());
-    let deploy_cfg = rt.config();
 
     // Closed-loop batch-1 calibration: min submit→resolve wall time.
     let base = {
@@ -447,48 +420,40 @@ fn run_model<M: ServableModel>(
         slo.as_secs_f64() * 1e3,
     );
 
-    for (policy_name, policy) in policies() {
-        for load in [Load::Low, Load::Overload] {
-            let idx = out.len() as u64;
-            let arrival = cfg.arrival(idx);
-            let rate = load.rate(service_rps);
-            let offsets = arrival.schedule(cfg.requests(), rate);
-            let session = rt
-                .serve(net, ps)
-                .config(deploy_cfg)
-                .policy(policy)
-                .build_model();
-            let scenario = drive(
-                &session,
-                inputs,
-                &offsets,
-                slo,
-                ScenarioLabel {
-                    model: model_name,
-                    policy: policy_name,
-                    load: load.name(),
-                    arrival: arrival.name(),
-                    offered_rps: rate,
-                    slo_ms: slo.as_secs_f64() * 1e3,
-                },
-            );
-            println!(
-                "  {:<28} offered {:>7.0} req/s | achieved {:>7.0} | p50 {:>8.3} ms | p99 {:>8.3} ms | SLO-conformance {:.2}",
-                scenario.name,
-                scenario.offered_rps,
-                scenario.achieved_rps,
-                scenario.p50_ms,
-                scenario.p99_ms,
-                scenario.slo_conformance,
-            );
-            out.push(scenario);
-        }
+    for load in [Load::Low, Load::Overload] {
+        let idx = out.len() as u64;
+        let arrival = cfg.arrival(idx);
+        let rate = load.rate(service_rps);
+        let offsets = arrival.schedule(cfg.requests(), rate);
+        let session = rt.serve(net, ps).build_model();
+        let scenario = drive(
+            &session,
+            inputs,
+            &offsets,
+            slo,
+            ScenarioLabel {
+                model: model_name,
+                load: load.name(),
+                arrival: arrival.name(),
+                offered_rps: rate,
+                slo_ms: slo.as_secs_f64() * 1e3,
+            },
+        );
+        println!(
+            "  {:<28} offered {:>7.0} req/s | achieved {:>7.0} | p50 {:>8.3} ms | p99 {:>8.3} ms | SLO-conformance {:.2}",
+            scenario.name,
+            scenario.offered_rps,
+            scenario.achieved_rps,
+            scenario.p50_ms,
+            scenario.p99_ms,
+            scenario.slo_conformance,
+        );
+        out.push(scenario);
     }
 }
 
 struct ScenarioLabel {
     model: &'static str,
-    policy: &'static str,
     load: &'static str,
     arrival: &'static str,
     offered_rps: f64,
@@ -554,14 +519,12 @@ fn drive<M: ServableModel>(
             batches_run: st.batches_run,
             rows_served: st.rows_served,
             queued_high_water: st.queued_high_water,
-            final_window: st.current_window,
             mean_service_us: st.service_nanos as f64 / st.batches_run.max(1) as f64 / 1e3,
         })
         .collect();
     ScenarioResult {
-        name: format!("{}_{}_{}", label.model, label.policy, label.load),
+        name: format!("{}_{}", label.model, label.load),
         model: label.model,
-        policy: label.policy,
         load: label.load,
         arrival: label.arrival,
         requests: offsets.len(),
@@ -633,7 +596,7 @@ fn run_gateway(cfg: ServeBenchConfig, out: &mut Vec<GatewayScenarioResult>) {
     );
 
     // Closed-loop batch-1 calibration on one model (both are the same
-    // architecture), before the gateway takes over deploy state.
+    // architecture).
     let base = {
         let session = rt.serve(&net_a, &ps_a).build_model();
         let mut best = Duration::MAX;
@@ -671,7 +634,7 @@ fn run_gateway(cfg: ServeBenchConfig, out: &mut Vec<GatewayScenarioResult>) {
             let policy = if class == SloClass::BestEffort {
                 ClassPolicy {
                     max_queue: 2,
-                    batch: BatchPolicy::Static(BatchOptions::immediate(1)),
+                    quota: 1,
                     shed_deadline: None,
                 }
             } else {
@@ -778,7 +741,6 @@ fn run_gateway(cfg: ServeBenchConfig, out: &mut Vec<GatewayScenarioResult>) {
                     batches_run: d.batches_run,
                     rows_served: d.rows_served,
                     queued_high_water: d.queued_high_water,
-                    final_window: d.current_window,
                     mean_service_us: d.service_nanos as f64 / d.batches_run.max(1) as f64 / 1e3,
                 });
             }
@@ -994,14 +956,13 @@ pub fn to_json(report: &ServeReport) -> String {
     s.push_str("  \"scenarios\": [\n");
     for (i, sc) in report.scenarios.iter().enumerate() {
         s.push_str(&format!(
-            "    {{\"name\": \"{}\", \"model\": \"{}\", \"policy\": \"{}\", \"load\": \"{}\", \
+            "    {{\"name\": \"{}\", \"model\": \"{}\", \"load\": \"{}\", \
              \"arrival\": \"{}\", \"requests\": {}, \"offered_rps\": {:.1}, \
              \"achieved_rps\": {:.1}, \"p50_ms\": {:.4}, \"p95_ms\": {:.4}, \"p99_ms\": {:.4}, \
              \"max_ms\": {:.4}, \"mean_ms\": {:.4}, \"slo_ms\": {:.4}, \
              \"slo_conformance\": {:.4}, \"stages\": [\n",
             sc.name,
             sc.model,
-            sc.policy,
             sc.load,
             sc.arrival,
             sc.requests,
@@ -1018,12 +979,11 @@ pub fn to_json(report: &ServeReport) -> String {
         for (j, st) in sc.stages.iter().enumerate() {
             s.push_str(&format!(
                 "      {{\"stage\": \"{}\", \"batches_run\": {}, \"rows_served\": {}, \
-                 \"queued_high_water\": {}, \"final_window\": {}, \"mean_service_us\": {:.2}}}{}\n",
+                 \"queued_high_water\": {}, \"mean_service_us\": {:.2}}}{}\n",
                 st.stage,
                 st.batches_run,
                 st.rows_served,
                 st.queued_high_water,
-                st.final_window,
                 st.mean_service_us,
                 if j + 1 == sc.stages.len() { "" } else { "," },
             ));
@@ -1083,12 +1043,11 @@ pub fn to_json(report: &ServeReport) -> String {
         for (j, st) in sc.stages.iter().enumerate() {
             s.push_str(&format!(
                 "      {{\"stage\": \"{}\", \"batches_run\": {}, \"rows_served\": {}, \
-                 \"queued_high_water\": {}, \"final_window\": {}, \"mean_service_us\": {:.2}}}{}\n",
+                 \"queued_high_water\": {}, \"mean_service_us\": {:.2}}}{}\n",
                 st.stage,
                 st.batches_run,
                 st.rows_served,
                 st.queued_high_water,
-                st.final_window,
                 st.mean_service_us,
                 if j + 1 == sc.stages.len() { "" } else { "," },
             ));

@@ -70,7 +70,7 @@ pub mod prelude {
     };
     pub use lutdla_tensor::Tensor;
     pub use lutdla_vq::{
-        approx_matmul, AdaptiveOptions, BatchOptions, BatchPolicy, Distance, LutQuant, LutTable,
-        ProductQuantizer, ServeTiming, StageStats,
+        approx_matmul, BatchOptions, Distance, EngineStage, LutQuant, LutTable, ProductQuantizer,
+        ServeTiming, StageStats,
     };
 }

@@ -59,7 +59,8 @@ pub const RULE_CATALOG: &[(&str, &str)] = &[
 ];
 
 /// Hot-path files for `panic-discipline`: a panic on any of these unwinds
-/// a serving thread (collector, pool worker, or session flush) mid-request.
+/// a serving thread (collector, pool worker, session flush, or a deployed
+/// layer's eval forward) mid-request.
 const HOT_PATHS: &[&str] = &[
     "crates/vq/src/serve.rs",
     "crates/vq/src/engine.rs",
@@ -67,6 +68,8 @@ const HOT_PATHS: &[&str] = &[
     "crates/vq/src/pool.rs",
     "crates/lutboost/src/session.rs",
     "crates/lutboost/src/gateway.rs",
+    "crates/lutboost/src/lut_gemm.rs",
+    "crates/lutboost/src/runtime.rs",
 ];
 
 /// The one sanctioned thread-spawn site (PR 3's `WorkerPool`).

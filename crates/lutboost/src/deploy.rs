@@ -5,7 +5,11 @@
 //! Engine construction, caching, and serving live in [`crate::LutRuntime`];
 //! this module provides the numeric configuration ([`DeployConfig`]), the
 //! single iterator ([`lut_layers`]) every architecture's deploy path funnels
-//! through, and the runtime-backed evaluation entry points.
+//! through, the runtime-backed evaluation entry points, and the compiled
+//! per-unit plans of the serving sessions: [`UnitPlan`] (a LUT unit's
+//! [`EngineStage`], called directly by the layer's eval forward) and
+//! [`DecodePlan`] (a LUT unit's [`DecodeStageCache`], which reuses the
+//! prefix's packed codes across decode steps).
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -15,7 +19,7 @@ use lutdla_nn::data::{ImageDataset, SeqDataset};
 use lutdla_nn::ParamSet;
 use lutdla_tensor::Tensor;
 use lutdla_vq::{
-    lock_engine, CodeWidth, EncodeMemo, FloatPrecision, LutEngine, LutQuant, MicroBatcher,
+    lock_engine, CodeWidth, EncodeMemo, EngineStage, FloatPrecision, LutEngine, LutQuant,
     PackedCodes, SharedEngine, StageStats,
 };
 
@@ -74,23 +78,18 @@ pub fn undeploy_units<'a>(units: impl IntoIterator<Item = &'a DenseUnit>) {
 
 /// One dense unit's compiled execution route in a whole-model serving
 /// session ([`crate::ModelSession`]): LUT engine or dense path. Compiled
-/// once per session by [`LutRuntime::model_session`]; the session replays
-/// the plan on every flush.
+/// once per session by [`crate::SessionBuilder::build_model`]; the session
+/// replays the plan on every flush.
 pub enum UnitPlan {
     /// A converted layer: its engine (resolved through the runtime's LRU
-    /// cache) fronted by the session's per-stage micro-batcher.
+    /// cache), called directly by the layer's eval forward.
     Lut {
         /// Unit name, for reporting.
         name: String,
-        /// Direct handle to the cached engine this stage runs on — for
-        /// introspection/diagnostics, and to pin the tiled tables for the
-        /// session's lifetime independently of the layer's deploy state
-        /// and the cache's LRU eviction.
-        engine: SharedEngine,
-        /// The stage's micro-batcher (zero-delay drain policy): the
-        /// stage's activation block joins as a single request and is
-        /// served immediately.
-        stage: Arc<MicroBatcher>,
+        /// The stage the layer's forwards run through: it pins the cached
+        /// engine for the session's lifetime (independently of the cache's
+        /// LRU eviction) and counts every call.
+        stage: Arc<EngineStage>,
     },
     /// A unit the convert policy kept dense: served by the plain GEMM
     /// inside the model's eval forward.
@@ -113,34 +112,13 @@ impl UnitPlan {
         }
     }
 
-    /// Snapshot of this stage's serving counters (batches run, rows
-    /// served, queued-depth high-water, current window) — the per-stage
-    /// observability surface of a [`crate::ModelSession`]. `None` for
-    /// units on the dense path, which have no batcher to observe.
+    /// Snapshot of this stage's counters (engine calls, rows, widest call,
+    /// service time, memo traffic) — the per-stage observability surface
+    /// of a [`crate::ModelSession`]. `None` for units on the dense path.
     pub fn stage_stats(&self) -> Option<StageStats> {
         match self {
             UnitPlan::Lut { stage, .. } => Some(stage.stats()),
             UnitPlan::Dense { .. } => None,
-        }
-    }
-
-    /// A second handle onto the same compiled route: the engine and stage
-    /// batcher are shared (`Arc` clones), so every plan stamped from one
-    /// template drains through the *same* per-stage windows. This is how
-    /// [`LutRuntime::model_session_shared`](crate::LutRuntime::model_session_shared)
-    /// turns a [`crate::StageBatchers`] template into a live session plan.
-    pub(crate) fn share(&self) -> UnitPlan {
-        match self {
-            UnitPlan::Lut {
-                name,
-                engine,
-                stage,
-            } => UnitPlan::Lut {
-                name: name.clone(),
-                engine: Arc::clone(engine),
-                stage: Arc::clone(stage),
-            },
-            UnitPlan::Dense { name } => UnitPlan::Dense { name: name.clone() },
         }
     }
 }
@@ -148,11 +126,10 @@ impl UnitPlan {
 impl std::fmt::Debug for UnitPlan {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            UnitPlan::Lut { name, stage, .. } => f
+            UnitPlan::Lut { name, stage } => f
                 .debug_struct("Lut")
                 .field("name", name)
-                .field("rows_served", &stage.rows_served())
-                .field("window", &stage.current_window())
+                .field("stage", stage)
                 .finish(),
             UnitPlan::Dense { name } => f.debug_struct("Dense").field("name", name).finish(),
         }
@@ -181,6 +158,7 @@ pub struct DecodeStageStats {
 /// is bit-identical to `run_batch` on the same rows), reuse never changes
 /// a single output bit.
 pub struct DecodeStageCache {
+    engine: SharedEngine,
     /// Optional cross-step encode memo ([`crate::RuntimeOptions::memo_rows`]):
     /// fresh rows that hash-match a previously walked row skip the walk too.
     memo: Option<Arc<EncodeMemo>>,
@@ -203,11 +181,17 @@ struct CacheInner {
 }
 
 impl DecodeStageCache {
-    pub(crate) fn new(memo: Option<Arc<EncodeMemo>>) -> Self {
+    pub(crate) fn new(engine: SharedEngine, memo: Option<Arc<EncodeMemo>>) -> Self {
         Self {
+            engine,
             memo,
             inner: RefCell::new(CacheInner::default()),
         }
+    }
+
+    /// The engine this stage runs on.
+    pub fn engine(&self) -> &SharedEngine {
+        &self.engine
     }
 
     /// Cumulative reuse/walk row counters.
@@ -221,8 +205,8 @@ impl DecodeStageCache {
 
     /// Serves one eval-mode forward through the prefix cache; bit-identical
     /// to `run_batch(x)` on the same engine. See the type docs.
-    pub(crate) fn eval(&self, engine: &SharedEngine, x: &Tensor) -> Tensor {
-        let mut eng = lock_engine(engine);
+    pub(crate) fn eval(&self, x: &Tensor) -> Tensor {
+        let mut eng = lock_engine(&self.engine);
         let (m, k) = (x.dims()[0], x.dims()[1]);
         let data = x.data();
         let mut inner = self.inner.borrow_mut();
@@ -339,16 +323,14 @@ fn bits_eq(a: &[f32], b: &[f32]) -> bool {
 
 /// One dense unit's compiled route in a [`crate::DecodeSession`] — the
 /// decode twin of [`UnitPlan`]: LUT stages route through a per-stage
-/// prefix cache instead of a micro-batcher.
+/// prefix cache instead of calling the engine directly.
 pub enum DecodePlan {
-    /// A converted layer: its cached engine plus the step-to-step prefix
-    /// cache installed on the layer for the session's lifetime.
+    /// A converted layer: its step-to-step prefix cache over the cached
+    /// engine, installed on the layer for the span of each step.
     Lut {
         /// Unit name, for reporting.
         name: String,
-        /// Direct handle to the cached engine this stage runs on.
-        engine: SharedEngine,
-        /// The stage's prefix cache (shared with the layer's deploy state).
+        /// The stage's prefix cache (it holds the stage's engine).
         cache: Rc<DecodeStageCache>,
     },
     /// A unit the convert policy kept dense: served by the plain GEMM

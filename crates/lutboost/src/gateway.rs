@@ -2,22 +2,22 @@
 //!
 //! LUT-DLA's throughput hinges on keeping the table-lookup datapath fed
 //! with wide batches, but a [`ModelSession`] is a *single-consumer* front
-//! door: every caller that builds its own session also builds private
-//! per-stage batchers, so two clients of the same model never share a
-//! window. The gateway closes that gap — it is the one holder of a
-//! [`crate::StageBatchers`] template and the one live session per
-//! registered model, and it routes requests from many **tenants** through
-//! them, so two tenants hitting the same model coalesce into one engine
-//! `run_batch` (the paper's amortize-one-pass-over-many-consumers argument
-//! applied across clients instead of across rows).
+//! door: every caller that builds its own session flushes its own
+//! batches, so two clients of the same model never share an engine call.
+//! The gateway closes that gap — it holds one session per registered model
+//! and routes requests from many **tenants** through it, so two tenants
+//! hitting the same model coalesce into one forward, and every LUT stage
+//! of that forward runs one engine call over both tenants' rows (the
+//! paper's amortize-one-pass-over-many-consumers argument applied across
+//! clients instead of across rows).
 //!
 //! Three serving concerns layer on top of the routing:
 //!
 //! * **SLO classes** — each tenant registers under a [`SloClass`]
 //!   (`Latency`, `Throughput`, `BestEffort`) that maps onto a per-class
 //!   [`ClassPolicy`]: how deep its admission queue runs, how many requests
-//!   one drain round may take from it ([`BatchPolicy`] vocabulary), and an
-//!   optional shed deadline for requests that grew stale in the queue.
+//!   one drain round may take from it, and an optional shed deadline for
+//!   requests that grew stale in the queue.
 //! * **Admission control** — [`ServeGateway::submit`] is shed-or-queue:
 //!   a full bounded queue turns the request away with the structured
 //!   [`ServeError::Shed`] (nothing enqueued, caller may retry), and
@@ -38,6 +38,8 @@
 //!   no same-class tenant is structurally first. Per-tenant
 //!   [`TenantStats`] and the aggregate [`GatewayStats`] sit over the
 //!   per-stage [`StageStats`] the sessions already expose.
+//!
+//! Registering a model builds its session and starts no thread.
 //!
 //! The gateway is single-thread-driven like the session under it (`!Sync`
 //! by construction: interior `Cell`/`RefCell` state): callers submit and
@@ -71,10 +73,10 @@ use std::time::{Duration, Instant};
 
 use lutdla_models::trainable::ServableModel;
 use lutdla_nn::ParamSet;
-use lutdla_vq::{BatchOptions, BatchPolicy, Pending, PendingResolver, ServeError, StageStats};
+use lutdla_vq::{Pending, PendingResolver, ServeError, StageStats};
 
 use crate::deploy::DeployConfig;
-use crate::runtime::{LutRuntime, StageBatchers};
+use crate::runtime::LutRuntime;
 use crate::session::ModelSession;
 
 /// Handle to a model registered with [`ServeGateway::register_model`].
@@ -162,17 +164,17 @@ impl SloClass {
         match self {
             SloClass::Latency => ClassPolicy {
                 max_queue: 64,
-                batch: BatchPolicy::Static(BatchOptions::immediate(16)),
+                quota: 16,
                 shed_deadline: None,
             },
             SloClass::Throughput => ClassPolicy {
                 max_queue: 256,
-                batch: BatchPolicy::Static(BatchOptions::immediate(64)),
+                quota: 64,
                 shed_deadline: None,
             },
             SloClass::BestEffort => ClassPolicy {
                 max_queue: 16,
-                batch: BatchPolicy::Static(BatchOptions::immediate(2)),
+                quota: 2,
                 shed_deadline: None,
             },
         }
@@ -193,13 +195,11 @@ pub struct ClassPolicy {
     /// Bounded admission-queue depth: a submit finding the queue at this
     /// depth is turned away with [`ServeError::Shed`]. Clamped to ≥ 1.
     pub max_queue: usize,
-    /// How much one [`ServeGateway::pump`] round may take from this
-    /// tenant's queue — the policy's widest flush
-    /// ([`BatchPolicy::max_batch`]) is the per-round quota.
-    pub batch: BatchPolicy,
+    /// How many requests one [`ServeGateway::pump`] round may take from
+    /// this tenant's queue. Clamped to ≥ 1.
+    pub quota: usize,
     /// If set, a request older than this when a pump reaches it is shed
-    /// instead of served (its waiter observes
-    /// [`SubmitError::Closed`](lutdla_vq::SubmitError::Closed)
+    /// instead of served (its waiter observes [`ServeError::Closed`]
     /// through the dropped handle, and [`TenantStats::expired`] counts
     /// it). `None` (the class defaults) never expires admitted work.
     pub shed_deadline: Option<Duration>,
@@ -210,20 +210,12 @@ pub struct ClassPolicy {
 pub struct GatewayOptions {
     /// Deployment numerics every registered model's engines are tiled at.
     pub cfg: DeployConfig,
-    /// Per-stage batch policy for the shared stage batchers (forced
-    /// drain-only, exactly as a [`crate::SessionBuilder`]-built session
-    /// does). Its widest flush is also each session's front-door
-    /// coalescing width.
-    pub stage_policy: BatchPolicy,
 }
 
 impl GatewayOptions {
-    /// Options with the given numerics and the default stage policy.
+    /// Options with the given numerics.
     pub fn new(cfg: DeployConfig) -> Self {
-        Self {
-            cfg,
-            stage_policy: BatchPolicy::default(),
-        }
+        Self { cfg }
     }
 }
 
@@ -271,12 +263,11 @@ pub struct GatewayStats {
     pub batches_run: u64,
 }
 
-/// One registered model: the shared stage-batcher template and the single
-/// live session every tenant of this model routes through.
+/// One registered model: the session every tenant of this model routes
+/// through.
 struct GatewayModel<'m, M: ServableModel> {
     name: String,
     model: &'m M,
-    batchers: StageBatchers,
     session: ModelSession<'m, M>,
     /// Round-robin start cursor per SLO class, rotated every pump so no
     /// same-class tenant is structurally drained first.
@@ -336,12 +327,10 @@ impl<'m, M: ServableModel> ServeGateway<'m, M> {
         }
     }
 
-    /// Registers a model: compiles its shared [`StageBatchers`] template
-    /// through the runtime's engine cache and opens the gateway's one live
-    /// session over it ([`crate::SessionBuilder::shared`] +
-    /// [`crate::SessionBuilder::build_model`]). Every
-    /// tenant bound to the returned [`ModelId`] drains through these
-    /// shared per-stage windows.
+    /// Registers a model: builds the gateway's session over it through the
+    /// runtime's engine cache ([`crate::SessionBuilder::build_model`] at
+    /// [`GatewayOptions::cfg`]). Every tenant bound to the returned
+    /// [`ModelId`] drains through this one session.
     pub fn register_model(
         &mut self,
         rt: &mut LutRuntime,
@@ -349,13 +338,11 @@ impl<'m, M: ServableModel> ServeGateway<'m, M> {
         model: &'m M,
         ps: &'m ParamSet,
     ) -> ModelId {
-        let batchers = rt.stage_batchers(model, ps, self.opts.cfg, self.opts.stage_policy);
-        let session = rt.serve(model, ps).shared(&batchers).build_model();
+        let session = rt.serve(model, ps).config(self.opts.cfg).build_model();
         let id = ModelId(self.models.len());
         self.models.push(GatewayModel {
             name: name.to_string(),
             model,
-            batchers,
             session,
             cursors: [Cell::new(0), Cell::new(0), Cell::new(0)],
         });
@@ -387,6 +374,7 @@ impl<'m, M: ServableModel> ServeGateway<'m, M> {
             class,
             policy: ClassPolicy {
                 max_queue: policy.max_queue.max(1),
+                quota: policy.quota.max(1),
                 ..policy
             },
             queue: RefCell::new(VecDeque::new()),
@@ -553,9 +541,8 @@ impl<'m, M: ServableModel> ServeGateway<'m, M> {
             for off in 0..ids.len() {
                 let tid = ids[(start + off) % ids.len()];
                 let t = &self.tenants[tid];
-                let quota = t.policy.batch.max_batch();
                 let mut taken = 0;
-                while taken < quota {
+                while taken < t.policy.quota {
                     let entry = t.queue.borrow_mut().pop_front();
                     let Some(entry) = entry else { break };
                     if let (Some(deadline), Some(at), Some(now)) =
@@ -676,22 +663,21 @@ impl<'m, M: ServableModel> ServeGateway<'m, M> {
         }
     }
 
-    /// Per-stage counters of one model's shared batchers (accumulating
-    /// across the gateway's whole lifetime; diff two snapshots with
+    /// Per-stage counters of one model's session (accumulating across the
+    /// gateway's whole lifetime; diff two snapshots with
     /// [`StageStats::delta`] for per-interval views). Empty for an
     /// unknown id.
     pub fn stage_stats(&self, model: ModelId) -> Vec<(&str, StageStats)> {
         self.models
             .get(model.0)
-            .map(|m| m.batchers.stage_stats())
+            .map(|m| m.session.stage_stats())
             .unwrap_or_default()
     }
 }
 
 impl<M: ServableModel> Drop for ServeGateway<'_, M> {
     fn drop(&mut self) {
-        // Graceful: admitted work is served before the sessions (and their
-        // deploy state) go away.
+        // Graceful: admitted work is served before the sessions go away.
         self.close();
     }
 }
@@ -714,7 +700,7 @@ mod tests {
     use crate::lut_gemm::LutConfig;
     use lutdla_models::trainable::{gpt_mini, resnet20_mini, ConvNet, TransformerClassifier};
     use lutdla_tensor::Tensor;
-    use lutdla_vq::{FloatPrecision, LutQuant, SubmitError};
+    use lutdla_vq::{FloatPrecision, LutQuant};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -779,15 +765,16 @@ mod tests {
     }
 
     /// Each request's logits from a solo `ModelSession` — the bit-identity
-    /// reference every gateway result must equal exactly.
+    /// reference every gateway result must equal exactly. Built while the
+    /// gateway's own session over the same model is live.
     fn solo_reference(
         rt: &mut LutRuntime,
-        batchers: &StageBatchers,
+        cfg: DeployConfig,
         net: &ConvNet,
         ps: &ParamSet,
         inputs: &[Tensor],
     ) -> Vec<Vec<f32>> {
-        let session = rt.serve(net, ps).shared(batchers).build_model();
+        let session = rt.serve(net, ps).config(cfg).build_model();
         let handles: Vec<_> = inputs
             .iter()
             .map(|x| session.submit(x.clone()).expect("valid image"))
@@ -808,9 +795,6 @@ mod tests {
         let inputs: Vec<Tensor> = (0..6).map(|i| image(&images, i)).collect();
         for cfg in all_combos() {
             let mut rt = LutRuntime::new(cfg);
-            let batchers = rt.stage_batchers(&net, &ps, cfg, BatchPolicy::default());
-            let reference = solo_reference(&mut rt, &batchers, &net, &ps, &inputs);
-
             let mut gw = ServeGateway::new(GatewayOptions::new(cfg));
             let model = gw.register_model(&mut rt, "resnet", &net, &ps);
             let a = gw.register_tenant("a", model, SloClass::Latency);
@@ -824,6 +808,7 @@ mod tests {
                     gw.submit(tenant, x.clone()).expect("admitted")
                 })
                 .collect();
+            let reference = solo_reference(&mut rt, cfg, &net, &ps, &inputs);
             gw.drain();
             for (i, h) in handles.into_iter().enumerate() {
                 let rows = h.wait().expect("gateway alive");
@@ -891,9 +876,10 @@ mod tests {
             *idx += 1;
         }
 
-        // The shared per-stage batchers saw all 6 rows in their windows.
+        // Every LUT stage served all 6 requests' rows in one engine call.
         for (name, s) in gw.stage_stats(model) {
             assert!(s.rows_served > 0, "stage {name} served nothing");
+            assert_eq!(s.batches_run, 1, "stage {name}: one call per flush");
         }
     }
 
@@ -906,12 +892,10 @@ mod tests {
         let (ps, net, images) = converted_convnet(133);
         let cfg = DeployConfig::fp32();
         let mut rt = LutRuntime::new(cfg);
-        let batchers = rt.stage_batchers(&net, &ps, cfg, BatchPolicy::default());
         let inputs: Vec<Tensor> = (0..10).map(|i| image(&images, i)).collect();
-        let reference = solo_reference(&mut rt, &batchers, &net, &ps, &inputs);
-
         let mut gw = ServeGateway::new(GatewayOptions::new(cfg));
         let model = gw.register_model(&mut rt, "resnet", &net, &ps);
+        let reference = solo_reference(&mut rt, cfg, &net, &ps, &inputs);
         let lat = gw.register_tenant_with(
             "interactive",
             model,
@@ -998,7 +982,7 @@ mod tests {
 
         assert_eq!(
             h_stale.wait(),
-            Err(SubmitError::Closed),
+            Err(ServeError::Closed),
             "expired handle reports closed"
         );
         assert!(h_fresh.wait().is_ok());
@@ -1048,7 +1032,7 @@ mod tests {
         let model = gw.register_model(&mut rt, "resnet", &net, &ps);
         let quota1 = ClassPolicy {
             max_queue: 8,
-            batch: BatchPolicy::Static(BatchOptions::immediate(1)),
+            quota: 1,
             shed_deadline: None,
         };
         let a = gw.register_tenant_with("a", model, SloClass::Throughput, quota1);
@@ -1079,14 +1063,11 @@ mod tests {
         let cfg = DeployConfig::fp32();
         let mut rt = LutRuntime::new(cfg);
         let inputs: Vec<Tensor> = (0..4).map(|i| image(&images, i)).collect();
-        let b1 = rt.stage_batchers(&net1, &ps1, cfg, BatchPolicy::default());
-        let ref1 = solo_reference(&mut rt, &b1, &net1, &ps1, &inputs);
-        let b2 = rt.stage_batchers(&net2, &ps2, cfg, BatchPolicy::default());
-        let ref2 = solo_reference(&mut rt, &b2, &net2, &ps2, &inputs);
-
         let mut gw = ServeGateway::new(GatewayOptions::new(cfg));
         let m1 = gw.register_model(&mut rt, "resnet-a", &net1, &ps1);
         let m2 = gw.register_model(&mut rt, "resnet-b", &net2, &ps2);
+        let ref1 = solo_reference(&mut rt, cfg, &net1, &ps1, &inputs);
+        let ref2 = solo_reference(&mut rt, cfg, &net2, &ps2, &inputs);
         assert_eq!(gw.model_id("resnet-a"), Some(m1));
         assert_eq!(gw.model_id("resnet-b"), Some(m2));
         assert_eq!(gw.model_id("nope"), None);
@@ -1188,7 +1169,6 @@ mod tests {
             Err(ServeError::Closed)
         );
         assert_eq!(gw.stream_positions(stream), Some(4));
-        drop(gw); // undeploys, so the solo reference below can go live
 
         let solo = rt.serve(&net, &ps).build_model();
         for (i, (prefix, h)) in admitted.into_iter().enumerate() {

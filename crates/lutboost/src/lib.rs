@@ -18,18 +18,20 @@
 //! * [`LutRuntime`] — the deployment/serving session object:
 //!   a cached-engine store (keyed on parameter identity/version and the
 //!   deployment numerics), a persistent worker pool shared by every engine,
-//!   and micro-batched serving sessions that coalesce single-row `submit`
-//!   calls into batched engine runs;
+//!   and the builders of every serving session, including the single-layer
+//!   micro-batched front door that coalesces single-row `submit` calls
+//!   into batched engine runs;
 //! * [`ModelSession`] — the whole-model serving front door:
-//!   `submit(input)` pipelines one request through every layer (cached LUT
-//!   engine behind a per-stage micro-batcher for converted units, the
-//!   dense eval path otherwise) and resolves a `Pending` handle with the
-//!   final logits, bit-identical to the batched `deploy` + eval path;
+//!   `submit(input)` queues one request, and each flush runs every layer
+//!   over the queued batch (cached LUT engines called directly for
+//!   converted units, the dense eval path otherwise) and resolves a
+//!   `Pending` handle per request with its logits, bit-identical to the
+//!   batched `deploy` + eval path;
 //! * [`ServeGateway`] — the multi-tenant serving front door: N registered
-//!   models behind shared per-stage batchers ([`StageBatchers`]), tenants
-//!   with SLO classes ([`SloClass`]) and bounded-queue admission control,
-//!   so concurrent tenants of one model coalesce into shared engine
-//!   batches while staying bit-identical to solo sessions;
+//!   models, one session each, with tenants in SLO classes ([`SloClass`])
+//!   and bounded-queue admission control, so concurrent tenants of one
+//!   model coalesce into shared engine calls while staying bit-identical
+//!   to solo sessions;
 //! * [`DecodeSession`] — token-streaming autoregressive serving
 //!   ([`SessionBuilder::build_decode`]): each `step` re-encodes only the
 //!   new token's rows, splicing the prefix's packed codes from per-stage
@@ -39,7 +41,10 @@
 //! [`LutRuntime::serve`] (whole-model) / [`LutRuntime::serve_layer`]
 //! (single layer), returning a [`SessionBuilder`] /
 //! [`LayerSessionBuilder`]; errors across session, gateway, and decode
-//! surfaces share [`ServeError`].
+//! surfaces share [`ServeError`]. A session's LUT stages call their cached
+//! engines on the thread that runs the forward, so building a
+//! [`ModelSession`] or [`DecodeSession`], or registering a gateway model,
+//! starts no thread; only the single-layer front door runs a collector.
 //!
 //! # Example: convert a tiny ResNet, deploy at BF16+INT8, serve rows
 //!
@@ -101,13 +106,7 @@ pub use gateway::{
 };
 pub use lut_gemm::{LutConfig, LutGemm};
 pub use lutdla_vq::ServeError;
-pub use runtime::{
-    CacheStats, LayerSessionBuilder, LutRuntime, RuntimeOptions, SessionBuilder, StageBatchers,
-};
-// The deprecated `SessionError` alias stays exported for downstream
-// migrations; `ServeError` is the one error surface going forward.
-#[allow(deprecated)]
-pub use session::SessionError;
+pub use runtime::{CacheStats, LayerSessionBuilder, LutRuntime, RuntimeOptions, SessionBuilder};
 pub use session::{DecodeSession, ModelSession};
 pub use trainer::{
     convert_and_train_images, convert_and_train_seq, fresh_pretrained_convnet,

@@ -19,7 +19,7 @@ use std::sync::Arc;
 
 use lutdla_nn::{CustomOp, Graph, NodeId, ParamId, ParamSet};
 use lutdla_tensor::Tensor;
-use lutdla_vq::{Codebook, Distance, MicroBatcher, Pending, ProductQuantizer, SharedEngine};
+use lutdla_vq::{Codebook, Distance, EngineStage, ProductQuantizer, SharedEngine};
 use rand::Rng;
 
 use crate::deploy::DecodeStageCache;
@@ -67,26 +67,61 @@ pub struct LutGemm {
     deploy: RefCell<Option<DeployState>>,
 }
 
-/// Frozen inference artifacts: a handle to the batched engine built from
-/// the exported quantizer and table — owned by the [`crate::LutRuntime`]
-/// that installed it (and possibly shared with its cache and serving
-/// sessions) — stamped with the parameter version it was frozen at so
-/// serving stale tables is caught in debug builds.
+/// Frozen inference artifacts: the route a deployed layer's eval forwards
+/// take, stamped with the parameter version the engine's tables were built
+/// at so serving stale tables is caught in debug builds.
 struct DeployState {
     params_version: u64,
-    engine: SharedEngine,
-    /// When set, eval-mode forwards submit their activation block to this
-    /// per-stage micro-batcher (zero-delay, served immediately) instead of
-    /// locking the engine directly — a whole-model serving session
-    /// installs one per LUT stage as its per-layer observability point and
-    /// batching-policy seam (bit-identical either way; rows never mix).
-    stage: Option<Arc<MicroBatcher>>,
-    /// When set, eval-mode forwards route through a step-to-step prefix
-    /// cache instead: unchanged leading rows reuse their packed codes and
-    /// only new rows re-walk the codebook (bit-identical either way). A
-    /// [`crate::DecodeSession`] installs one per LUT stage; takes
-    /// precedence over `stage` (a decode deploy never sets both).
-    decode: Option<Rc<DecodeStageCache>>,
+    route: Route,
+}
+
+/// Where a deployed layer's eval forwards go. Either way the engine runs
+/// on the caller's thread, and the output is bit-identical to `run_batch`
+/// on the same rows.
+#[derive(Clone)]
+pub(crate) enum Route {
+    /// Straight into the engine through an [`EngineStage`], which counts
+    /// the call. [`crate::LutRuntime::deploy`] and every
+    /// [`crate::ModelSession`] stage use this route.
+    Stage(Arc<EngineStage>),
+    /// Through a step-to-step prefix cache: unchanged leading rows reuse
+    /// their packed codes and only new rows re-walk the codebook. A
+    /// [`crate::DecodeSession`] routes every LUT stage this way.
+    Decode(Rc<DecodeStageCache>),
+}
+
+/// One session's routes, installed on its layers for the span of one
+/// forward. Construction swaps each route in; drop puts back whatever each
+/// layer held before — also when the forward unwinds — so a session never
+/// disturbs another session's routes or a live [`crate::LutRuntime::deploy`].
+pub(crate) struct InstalledRoutes<'a> {
+    saved: Vec<(&'a LutGemm, Option<DeployState>)>,
+}
+
+impl<'a> InstalledRoutes<'a> {
+    /// Installs `routes` (all frozen at `params_version`).
+    pub(crate) fn install(routes: &[(&'a LutGemm, Route)], params_version: u64) -> Self {
+        let saved = routes
+            .iter()
+            .map(|(lut, route)| {
+                let state = DeployState {
+                    params_version,
+                    route: route.clone(),
+                };
+                (*lut, lut.deploy.replace(Some(state)))
+            })
+            .collect();
+        Self { saved }
+    }
+}
+
+impl Drop for InstalledRoutes<'_> {
+    fn drop(&mut self) {
+        // Reverse order, so a layer listed twice ends on its original state.
+        for (lut, prev) in self.saved.drain(..).rev() {
+            *lut.deploy.borrow_mut() = prev;
+        }
+    }
 }
 
 impl LutGemm {
@@ -202,61 +237,15 @@ impl LutGemm {
     /// This is the runtime's half of deployment: [`crate::LutRuntime`]
     /// resolves (or builds) the engine through its cache and installs it
     /// here — the layer itself never constructs engines. While deployed,
-    /// eval-mode forwards run through the engine (the functional twin of
-    /// the IMM hardware); training forwards are unaffected. Serving after
-    /// further training trips a `debug_assert`, and the trainer's stage
-    /// transitions call [`LutGemm::clear_deploy`].
+    /// eval-mode forwards run the engine directly on the caller's thread
+    /// (the functional twin of the IMM hardware); training forwards are
+    /// unaffected. Serving after further training trips a `debug_assert`,
+    /// and the trainer's stage transitions call [`LutGemm::clear_deploy`].
     pub fn install_deploy(&self, engine: SharedEngine, params_version: u64) {
         *self.deploy.borrow_mut() = Some(DeployState {
             params_version,
-            engine,
-            stage: None,
-            decode: None,
+            route: Route::Stage(Arc::new(EngineStage::new(engine, None))),
         });
-    }
-
-    /// [`LutGemm::install_deploy`] routed through a per-stage
-    /// [`MicroBatcher`] over the same engine: eval-mode forwards submit
-    /// their whole activation block as one request, so blocks from other
-    /// pipelines over this layer coalesce into shared engine runs. This is
-    /// how a whole-model serving session wires its LUT stages.
-    pub fn install_deploy_batched(
-        &self,
-        engine: SharedEngine,
-        stage: Arc<MicroBatcher>,
-        params_version: u64,
-    ) {
-        *self.deploy.borrow_mut() = Some(DeployState {
-            params_version,
-            engine,
-            stage: Some(stage),
-            decode: None,
-        });
-    }
-
-    /// [`LutGemm::install_deploy`] routed through a per-stage decode
-    /// prefix cache: eval-mode forwards splice their activation block's
-    /// packed codes from the previous step's cached prefix and walk only
-    /// the new rows. This is how [`crate::DecodeSession`] wires its LUT
-    /// stages.
-    pub fn install_deploy_decode(
-        &self,
-        engine: SharedEngine,
-        cache: Rc<DecodeStageCache>,
-        params_version: u64,
-    ) {
-        *self.deploy.borrow_mut() = Some(DeployState {
-            params_version,
-            engine,
-            stage: None,
-            decode: Some(cache),
-        });
-    }
-
-    /// The per-stage micro-batcher, when the layer was deployed through
-    /// [`LutGemm::install_deploy_batched`].
-    pub fn deployed_stage(&self) -> Option<Arc<MicroBatcher>> {
-        self.deploy.borrow().as_ref().and_then(|d| d.stage.clone())
     }
 
     /// Leaves deployment mode. The engine itself stays alive in any
@@ -268,7 +257,10 @@ impl LutGemm {
 
     /// The installed engine handle, if the layer is deployed.
     pub fn deployed_engine(&self) -> Option<SharedEngine> {
-        self.deploy.borrow().as_ref().map(|d| d.engine.clone())
+        self.deploy.borrow().as_ref().map(|d| match &d.route {
+            Route::Stage(stage) => Arc::clone(stage.engine()),
+            Route::Decode(cache) => Arc::clone(cache.engine()),
+        })
     }
 
     /// Quantizes activations `x: [M, K]` to `(Â, assignments)`.
@@ -366,21 +358,9 @@ impl GemmOp for LutGemm {
                     "stale DeployState: parameters changed since deployment \
                      (re-deploy, or let the trainer's stage transitions clear it)"
                 );
-                let y = if let Some(cache) = &d.decode {
-                    cache.eval(&d.engine, g.value(x))
-                } else {
-                    match &d.stage {
-                        Some(stage) => {
-                            let xv = g.value(x);
-                            let m = xv.dims()[0];
-                            let out = stage
-                                .submit_rows(xv.data())
-                                .and_then(Pending::wait)
-                                .expect("stage micro-batcher died while deployed");
-                            Tensor::from_vec(out, &[m, self.out_dim])
-                        }
-                        None => lutdla_vq::lock_engine(&d.engine).run_batch(g.value(x)),
-                    }
+                let y = match &d.route {
+                    Route::Stage(stage) => stage.run(g.value(x)),
+                    Route::Decode(cache) => cache.eval(g.value(x)),
                 };
                 return g.input(y);
             }
@@ -619,6 +599,30 @@ mod tests {
         lut.clear_deploy();
         assert!(lut.deployed_engine().is_none());
         assert!(g.value(y).allclose(&expect, 1e-5));
+    }
+
+    #[test]
+    fn installed_routes_restore_the_previous_route_even_on_unwind() {
+        let (ps, lut, _) = setup(LutConfig::default());
+        let mut rt = crate::LutRuntime::new(crate::DeployConfig::fp32());
+        rt.deploy_layers([&lut], &ps);
+        let deployed = lut.deployed_engine().expect("deployed");
+        let other = rt.engine_with(&lut, &ps, crate::DeployConfig::bf16_int8());
+        let route = Route::Stage(Arc::new(EngineStage::new(Arc::clone(&other), None)));
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _routes = InstalledRoutes::install(&[(&lut, route)], ps.version());
+            let live = lut.deployed_engine().expect("route installed");
+            assert!(Arc::ptr_eq(&live, &other), "session route not installed");
+            panic!("forward unwound mid-flush");
+        }));
+        assert!(unwound.is_err());
+        let restored = lut.deployed_engine().expect("deploy restored");
+        assert!(Arc::ptr_eq(&restored, &deployed), "unwind lost the deploy");
+        // Without a prior deploy, the guard leaves the layer undeployed.
+        lut.clear_deploy();
+        let route = Route::Stage(Arc::new(EngineStage::new(other, None)));
+        drop(InstalledRoutes::install(&[(&lut, route)], ps.version()));
+        assert!(lut.deployed_engine().is_none());
     }
 
     #[test]

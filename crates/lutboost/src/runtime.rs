@@ -21,13 +21,13 @@
 //!    channel-fed) shared by every engine the runtime builds, replacing
 //!    per-call thread spawns and keeping a many-layer model from
 //!    oversubscribing the machine.
-//! 3. **Micro-batched serving sessions** ([`MicroBatcher`] front doors from
-//!    [`LutRuntime::session`]) that coalesce single-row `submit` calls into
-//!    the batched `run_batch` calls the engine is fast at — window- and
-//!    deadline-driven under a [`BatchPolicy`] (a pinned
-//!    [`BatchOptions`] window, or an adaptive one that widens under queue
-//!    pressure and collapses when idle within a latency SLO) — and always
-//!    bit-identical to direct batching.
+//! 3. **Session builders** — [`LutRuntime::serve`] compiles a whole-model
+//!    [`ModelSession`] or a token-streaming [`DecodeSession`] whose LUT
+//!    stages call their cached engines directly on the caller's thread,
+//!    and [`LutRuntime::serve_layer`] builds a single-layer
+//!    [`MicroBatcher`] front door that coalesces single-row `submit` calls
+//!    into batched `run_batch` calls. Every path is bit-identical to
+//!    direct batching.
 //!
 //! # Example
 //!
@@ -49,14 +49,13 @@ use std::sync::Arc;
 use lutdla_models::trainable::{DenseUnit, ServableModel};
 use lutdla_nn::{ParamId, ParamSet};
 use lutdla_vq::{
-    default_workers, share, AdaptiveOptions, BatchOptions, BatchPolicy, EncodeMemo, EngineOptions,
-    FloatPrecision, LutEngine, LutQuant, LutTable, MicroBatcher, ServeError, SharedEngine,
-    StageStats, WorkerPool,
+    default_workers, share, BatchOptions, EncodeMemo, EngineOptions, EngineStage, FloatPrecision,
+    LutEngine, LutQuant, LutTable, MicroBatcher, ServeError, SharedEngine, WorkerPool,
 };
 
 use crate::convert::as_lut;
 use crate::deploy::{lut_layers, DecodePlan, DecodeStageCache, DeployConfig, UnitPlan};
-use crate::lut_gemm::LutGemm;
+use crate::lut_gemm::{LutGemm, Route};
 use crate::session::{DecodeSession, ModelSession};
 
 /// What uniquely identifies a tiled engine: whose weights (set identity +
@@ -101,18 +100,13 @@ pub struct RuntimeOptions {
     pub workers: usize,
     /// Maximum cached engines before LRU eviction (at least 1).
     pub cache_capacity: usize,
-    /// Batch policy for [`LutRuntime::session`] front doors and the
-    /// per-stage batchers of [`LutRuntime::model_session`]. A
-    /// [`BatchPolicy::Adaptive`] policy gives every batcher built from
-    /// these options its own independently adapting window.
-    pub policy: BatchPolicy,
     /// Capacity, in rows, of the cross-request [`EncodeMemo`] fronting
-    /// every batcher this runtime builds (`0`, the default, disables the
-    /// memo). Each front door / pipeline stage gets its **own** memo —
+    /// every session stage and layer front door this runtime builds (`0`,
+    /// the default, disables the memo). Each stage gets its **own** memo —
     /// stages serve different codebooks, so sharing one pool would only
     /// mix key spaces. Duplicate rows re-submitted to a stage skip the
     /// similarity walk; the hit/miss/evict counters surface through
-    /// [`StageStats`].
+    /// [`lutdla_vq::StageStats`].
     pub memo_rows: usize,
 }
 
@@ -121,67 +115,8 @@ impl Default for RuntimeOptions {
         Self {
             workers: default_workers(),
             cache_capacity: 16,
-            policy: BatchPolicy::default(),
             memo_rows: 0,
         }
-    }
-}
-
-/// A reusable set of per-stage [`MicroBatcher`]s compiled for one
-/// `(model, ParamSet, numerics)` triple — the template that lets several
-/// [`ModelSession`]s, or a multi-tenant front door like
-/// [`crate::ServeGateway`], drain through the **same** per-stage windows
-/// instead of private ones.
-///
-/// Built by [`LutRuntime::stage_batchers`]; consumed by
-/// [`LutRuntime::model_session_shared`], which stamps a live session out of
-/// the template (`Arc`-sharing every engine and stage batcher, so two
-/// sessions from one template coalesce in the same windows and accumulate
-/// into the same [`StageStats`] counters). The template itself never
-/// installs deploy state on the model — that happens when a session goes
-/// live — so it can outlive any number of session build/drop cycles, and
-/// its [`StageBatchers::stage_stats`] keep counting across them.
-pub struct StageBatchers {
-    set_uid: u64,
-    version: u64,
-    cfg: DeployConfig,
-    /// Widest front-door flush of the policy the template was built from;
-    /// sessions stamped from the template inherit it as their auto-flush
-    /// threshold.
-    front_max_batch: usize,
-    plan: Vec<UnitPlan>,
-}
-
-impl StageBatchers {
-    /// The deployment numerics the template's engines were tiled at.
-    pub fn config(&self) -> DeployConfig {
-        self.cfg
-    }
-
-    /// Number of LUT-served stages in the template.
-    pub fn lut_stages(&self) -> usize {
-        self.plan.iter().filter(|u| u.is_lut()).count()
-    }
-
-    /// Per-stage serving counters, in unit-walk order (LUT stages only —
-    /// dense stages have no batcher to observe). These accumulate across
-    /// every session stamped from this template, which is what makes a
-    /// template-holder's view of load survive session rebuilds.
-    pub fn stage_stats(&self) -> Vec<(&str, StageStats)> {
-        self.plan
-            .iter()
-            .filter_map(|u| u.stage_stats().map(|s| (u.name(), s)))
-            .collect()
-    }
-}
-
-impl std::fmt::Debug for StageBatchers {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("StageBatchers")
-            .field("cfg", &self.cfg)
-            .field("lut_stages", &self.lut_stages())
-            .field("front_max_batch", &self.front_max_batch)
-            .finish()
     }
 }
 
@@ -203,7 +138,7 @@ impl LutRuntime {
         Self::with_options(cfg, RuntimeOptions::default())
     }
 
-    /// A runtime with explicit pool/cache/batching options.
+    /// A runtime with explicit pool/cache/memo options.
     pub fn with_options(cfg: DeployConfig, opts: RuntimeOptions) -> Self {
         let workers = opts.workers.max(1);
         Self {
@@ -216,8 +151,8 @@ impl LutRuntime {
         }
     }
 
-    /// The default deployment numerics (`deploy`/`session` use these; the
-    /// `*_with` variants override per call).
+    /// The default deployment numerics (`deploy` and the session builders
+    /// use these; the `*_with` variants and `.config(cfg)` override them).
     pub fn config(&self) -> DeployConfig {
         self.cfg
     }
@@ -338,8 +273,7 @@ impl LutRuntime {
         self.deploy_layers_with(lut_layers(units), ps, cfg);
     }
 
-    /// Starts a [`SessionBuilder`] for whole-model serving: the single
-    /// front door that replaced the `model_session*` constructor family.
+    /// Starts a [`SessionBuilder`] for whole-model serving.
     ///
     /// ```no_run
     /// # fn demo(rt: &mut lutdla_lutboost::LutRuntime,
@@ -348,31 +282,28 @@ impl LutRuntime {
     /// # }
     /// ```
     ///
-    /// Chain [`SessionBuilder::config`] / [`SessionBuilder::policy`] /
-    /// [`SessionBuilder::shared`] to override the runtime defaults, then
-    /// finish with [`SessionBuilder::build_model`] (a batch-coalescing
-    /// [`ModelSession`]) or [`SessionBuilder::build_decode`] (a
-    /// token-streaming [`DecodeSession`]).
-    pub fn serve<'rt, 'm, 't, M: ServableModel>(
+    /// Chain [`SessionBuilder::config`] to override the runtime's default
+    /// numerics, then finish with [`SessionBuilder::build_model`] (a
+    /// batch-coalescing [`ModelSession`]) or
+    /// [`SessionBuilder::build_decode`] (a token-streaming
+    /// [`DecodeSession`]).
+    pub fn serve<'rt, 'm, M: ServableModel>(
         &'rt mut self,
         model: &'m M,
         ps: &'m ParamSet,
-    ) -> SessionBuilder<'rt, 'm, 't, M> {
+    ) -> SessionBuilder<'rt, 'm, M> {
         SessionBuilder {
             cfg: self.cfg,
-            policy: self.opts.policy,
             rt: self,
             model,
             ps,
-            shared: None,
         }
     }
 
     /// Starts a [`LayerSessionBuilder`] for single-layer serving: a
     /// micro-batched front door over one layer's engine (see
-    /// [`MicroBatcher`]), replacing the `session*` constructor family.
-    /// The engine comes from the cache, so a session over an
-    /// already-deployed layer shares its tables.
+    /// [`MicroBatcher`]). The engine comes from the cache, so a front door
+    /// over an already-deployed layer shares its tables.
     pub fn serve_layer<'rt, 'l>(
         &'rt mut self,
         lut: &'l LutGemm,
@@ -380,7 +311,6 @@ impl LutRuntime {
     ) -> LayerSessionBuilder<'rt, 'l> {
         LayerSessionBuilder {
             cfg: self.cfg,
-            policy: self.opts.policy,
             rt: self,
             lut,
             ps,
@@ -398,37 +328,6 @@ impl LutRuntime {
         ps: &'m ParamSet,
     ) -> Result<DecodeSession<'m, M>, ServeError> {
         self.serve(model, ps).build_decode()
-    }
-
-    /// Deprecated alias for [`LutRuntime::serve_layer`]`.build()`.
-    #[deprecated(note = "use `rt.serve_layer(lut, ps).build()`")]
-    pub fn session(&mut self, lut: &LutGemm, ps: &ParamSet) -> MicroBatcher {
-        self.serve_layer(lut, ps).build()
-    }
-
-    /// Deprecated alias for [`LutRuntime::serve_layer`] with explicit
-    /// numerics.
-    #[deprecated(note = "use `rt.serve_layer(lut, ps).config(cfg).build()`")]
-    pub fn session_with(
-        &mut self,
-        lut: &LutGemm,
-        ps: &ParamSet,
-        cfg: DeployConfig,
-    ) -> MicroBatcher {
-        self.serve_layer(lut, ps).config(cfg).build()
-    }
-
-    /// Deprecated alias for [`LutRuntime::serve_layer`] with explicit
-    /// numerics and batch policy.
-    #[deprecated(note = "use `rt.serve_layer(lut, ps).config(cfg).policy(policy).build()`")]
-    pub fn session_with_policy(
-        &mut self,
-        lut: &LutGemm,
-        ps: &ParamSet,
-        cfg: DeployConfig,
-        policy: BatchPolicy,
-    ) -> MicroBatcher {
-        self.serve_layer(lut, ps).config(cfg).policy(policy).build()
     }
 
     /// A fresh per-stage encode memo, or `None` when
@@ -472,179 +371,6 @@ impl LutRuntime {
             .collect()
     }
 
-    /// Deprecated alias for [`LutRuntime::serve`]`.build_model()`.
-    #[deprecated(note = "use `rt.serve(model, ps).build_model()`")]
-    pub fn model_session<'m, M: ServableModel>(
-        &mut self,
-        model: &'m M,
-        ps: &'m ParamSet,
-    ) -> ModelSession<'m, M> {
-        self.serve(model, ps).build_model()
-    }
-
-    /// Deprecated alias for [`LutRuntime::serve`] with explicit numerics.
-    #[deprecated(note = "use `rt.serve(model, ps).config(cfg).build_model()`")]
-    pub fn model_session_with<'m, M: ServableModel>(
-        &mut self,
-        model: &'m M,
-        ps: &'m ParamSet,
-        cfg: DeployConfig,
-    ) -> ModelSession<'m, M> {
-        self.serve(model, ps).config(cfg).build_model()
-    }
-
-    /// Deprecated alias for [`LutRuntime::serve`] with explicit numerics
-    /// and per-stage batch policy.
-    #[deprecated(note = "use `rt.serve(model, ps).config(cfg).policy(policy).build_model()`")]
-    pub fn model_session_with_policy<'m, M: ServableModel>(
-        &mut self,
-        model: &'m M,
-        ps: &'m ParamSet,
-        cfg: DeployConfig,
-        policy: BatchPolicy,
-    ) -> ModelSession<'m, M> {
-        self.serve(model, ps)
-            .config(cfg)
-            .policy(policy)
-            .build_model()
-    }
-
-    /// Compiles a reusable [`StageBatchers`] template for `model`: one
-    /// engine (resolved through the cache) plus one drain-only
-    /// [`MicroBatcher`] per LUT unit, in unit-walk order. The template does
-    /// **not** deploy anything — pass it to
-    /// [`LutRuntime::model_session_shared`] to stamp live sessions whose
-    /// per-stage batchers are *shared* with every other session from the
-    /// same template. This is the opt-in fix for sessions over the same
-    /// `(model, ParamSet)` never sharing a window: hold the template, and
-    /// every consumer coalesces in it.
-    ///
-    /// Stage batchers run drain-only regardless of the policy's
-    /// `max_delay`/`slo`, for the reason documented on
-    /// [`LutRuntime::model_session_with_policy`].
-    pub fn stage_batchers<M: ServableModel>(
-        &mut self,
-        model: &M,
-        ps: &ParamSet,
-        cfg: DeployConfig,
-        policy: BatchPolicy,
-    ) -> StageBatchers {
-        let stage_policy = match policy.normalized() {
-            BatchPolicy::Static(opts) => {
-                BatchPolicy::Static(BatchOptions::immediate(opts.max_batch))
-            }
-            BatchPolicy::Adaptive(opts) => BatchPolicy::Adaptive(AdaptiveOptions {
-                slo: std::time::Duration::ZERO,
-                ..opts
-            }),
-        };
-        let walk = model.unit_walk();
-        let mut plan = Vec::with_capacity(walk.len());
-        for unit in walk {
-            match as_lut(unit) {
-                Some(lut) => {
-                    let engine = self.engine_with(lut, ps, cfg);
-                    let stage = Arc::new(MicroBatcher::with_policy_memo(
-                        Arc::clone(&engine),
-                        stage_policy,
-                        self.stage_memo(),
-                    ));
-                    plan.push(UnitPlan::Lut {
-                        name: unit.name.clone(),
-                        engine,
-                        stage,
-                    });
-                }
-                None => plan.push(UnitPlan::Dense {
-                    name: unit.name.clone(),
-                }),
-            }
-        }
-        StageBatchers {
-            set_uid: ps.uid(),
-            version: ps.version(),
-            cfg,
-            front_max_batch: policy.max_batch(),
-            plan,
-        }
-    }
-
-    /// Deprecated alias for [`LutRuntime::serve`]`.shared(batchers).build_model()`.
-    #[deprecated(note = "use `rt.serve(model, ps).shared(batchers).build_model()`")]
-    pub fn model_session_shared<'m, M: ServableModel>(
-        &self,
-        model: &'m M,
-        ps: &'m ParamSet,
-        batchers: &StageBatchers,
-    ) -> ModelSession<'m, M> {
-        self.stamp_session(model, ps, batchers)
-    }
-
-    /// Stamps a live whole-model session out of a [`StageBatchers`]
-    /// template: every session stamped from one template drains through
-    /// the **same** windows, so concurrent consumers coalesce into shared
-    /// engine batches. Going live installs batched deploy state on the
-    /// model's LUT layers (and dropping the session removes it), so keep
-    /// at most one live session per model — a multi-tenant front door
-    /// ([`crate::ServeGateway`]) holds exactly one and routes every tenant
-    /// through it.
-    ///
-    /// # Panics
-    ///
-    /// If the template was built for a different [`ParamSet`] (identity or
-    /// version), different numerics walk, or a model whose unit walk does
-    /// not match `model`'s — a stale template would otherwise serve
-    /// silently wrong tables.
-    fn stamp_session<'m, M: ServableModel>(
-        &self,
-        model: &'m M,
-        ps: &'m ParamSet,
-        batchers: &StageBatchers,
-    ) -> ModelSession<'m, M> {
-        assert_eq!(
-            ps.uid(),
-            batchers.set_uid,
-            "stage-batcher template was built for a different ParamSet"
-        );
-        assert_eq!(
-            ps.version(),
-            batchers.version,
-            "stage-batcher template is stale: the ParamSet has been mutated since it was built"
-        );
-        let walk = model.unit_walk();
-        assert_eq!(
-            walk.len(),
-            batchers.plan.len(),
-            "stage-batcher template does not match the model's unit walk"
-        );
-        let mut plan = Vec::with_capacity(walk.len());
-        let mut luts = Vec::new();
-        for (unit, tmpl) in walk.into_iter().zip(&batchers.plan) {
-            assert_eq!(
-                unit.name,
-                tmpl.name(),
-                "stage-batcher template unit order does not match the model"
-            );
-            match (as_lut(unit), tmpl) {
-                (Some(lut), UnitPlan::Lut { engine, stage, .. }) => {
-                    lut.install_deploy_batched(
-                        Arc::clone(engine),
-                        Arc::clone(stage),
-                        ps.version(),
-                    );
-                    plan.push(tmpl.share());
-                    luts.push(lut);
-                }
-                (None, UnitPlan::Dense { .. }) => plan.push(tmpl.share()),
-                _ => panic!(
-                    "stage-batcher template disagrees with the model about unit `{}` being LUT-served",
-                    unit.name
-                ),
-            }
-        }
-        ModelSession::new(model, ps, plan, luts, batchers.front_max_batch)
-    }
-
     /// Drops every cached engine (counters are kept).
     pub fn clear_cache(&mut self) {
         self.cache.clear();
@@ -663,91 +389,59 @@ impl std::fmt::Debug for LutRuntime {
 }
 
 /// Builder for whole-model serving sessions, started by
-/// [`LutRuntime::serve`]. Defaults come from the runtime
-/// ([`LutRuntime::config`], [`RuntimeOptions::policy`]); every setter
-/// overrides one knob, and the two `build_*` terminals pick the session
-/// kind:
+/// [`LutRuntime::serve`]. The numerics default to [`LutRuntime::config`];
+/// the two `build_*` terminals pick the session kind:
 ///
 /// * [`SessionBuilder::build_model`] — a batch-coalescing
-///   [`ModelSession`] (the former `model_session*` family).
+///   [`ModelSession`].
 /// * [`SessionBuilder::build_decode`] — a token-streaming
 ///   [`DecodeSession`] for autoregressive decode.
 #[must_use = "a session builder does nothing until `build_model()` or `build_decode()`"]
-pub struct SessionBuilder<'rt, 'm, 't, M: ServableModel> {
+pub struct SessionBuilder<'rt, 'm, M: ServableModel> {
     rt: &'rt mut LutRuntime,
     model: &'m M,
     ps: &'m ParamSet,
     cfg: DeployConfig,
-    policy: BatchPolicy,
-    shared: Option<&'t StageBatchers>,
 }
 
-impl<'rt, 'm, 't, M: ServableModel> SessionBuilder<'rt, 'm, 't, M> {
+impl<'m, M: ServableModel> SessionBuilder<'_, 'm, M> {
     /// Overrides the deployment numerics (defaults to
-    /// [`LutRuntime::config`]). Ignored when a [`SessionBuilder::shared`]
-    /// template is set — the template carries its own numerics.
+    /// [`LutRuntime::config`]).
     pub fn config(mut self, cfg: DeployConfig) -> Self {
         self.cfg = cfg;
         self
     }
 
-    /// Overrides the per-stage batch policy (defaults to
-    /// [`RuntimeOptions::policy`]). Ignored when a
-    /// [`SessionBuilder::shared`] template is set — the template's
-    /// batchers were built under their own policy. Decode sessions have
-    /// no batchers, so the policy does not apply to
-    /// [`SessionBuilder::build_decode`] either.
-    pub fn policy(mut self, policy: BatchPolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-
-    /// Stamps the session from a [`StageBatchers`] template
-    /// ([`LutRuntime::stage_batchers`]) instead of building private
-    /// per-stage batchers: every session from one template drains through
-    /// the **same** windows (see [`crate::StageBatchers`]).
-    pub fn shared(mut self, batchers: &'t StageBatchers) -> Self {
-        self.shared = Some(batchers);
-        self
-    }
-
     /// Builds the batch-coalescing [`ModelSession`]: `submit(input)`
-    /// pipelines a single request through every layer of the model —
-    /// cached LUT engines (one per-stage [`MicroBatcher`] each) for
-    /// converted units, the dense path for everything else — and resolves
-    /// a `Pending` handle with the final logits.
+    /// queues a request, and each flush runs one eval forward over the
+    /// queued batch — cached LUT engines for converted units (one
+    /// [`EngineStage`] each, called on the flushing thread), the dense
+    /// path for everything else — resolving a `Pending` handle per request
+    /// with its logits.
     ///
     /// Compiling the session resolves every LUT unit's engine through the
-    /// runtime cache ([`LutRuntime::stats`] counts the hits/misses) and
-    /// installs batched deploy state on the converted layers; dropping
-    /// the session undeploys them, with the engines staying warm in the
-    /// cache. Keep at most one live session per model.
-    ///
-    /// Stage batchers always run in drain-only mode regardless of the
-    /// policy's `max_delay`/`slo`: the pipeline blocks on each stage's
-    /// result, so a deadline sleep inside a stage could only add serial
-    /// latency, never gather more work from the same pipeline. The
-    /// deadline/SLO clock belongs to front doors that own their arrival
-    /// stream ([`LayerSessionBuilder::policy`]).
-    ///
-    /// # Panics
-    ///
-    /// With a [`SessionBuilder::shared`] template that was built for a
-    /// different [`ParamSet`] (identity or version) or a model whose unit
-    /// walk does not match — a stale template would otherwise serve
-    /// silently wrong tables.
+    /// runtime cache ([`LutRuntime::stats`] counts the hits/misses). It
+    /// installs nothing on the model: each flush swaps the session's
+    /// routes onto the layers and restores the previous ones afterwards,
+    /// so any number of sessions (and a live [`LutRuntime::deploy`]) can
+    /// coexist over one model.
     pub fn build_model(self) -> ModelSession<'m, M> {
-        match self.shared {
-            Some(tmpl) => self.rt.stamp_session(self.model, self.ps, tmpl),
-            None => {
-                let tmpl = self
-                    .rt
-                    .stage_batchers(self.model, self.ps, self.cfg, self.policy);
-                // `tmpl` drops after stamping, so the per-stage batchers
-                // stay private to this one session.
-                self.rt.stamp_session(self.model, self.ps, &tmpl)
+        let walk = self.model.unit_walk();
+        let mut plan = Vec::with_capacity(walk.len());
+        let mut routes = Vec::new();
+        for unit in walk {
+            let name = unit.name.clone();
+            match as_lut(unit) {
+                Some(lut) => {
+                    let engine = self.rt.engine_with(lut, self.ps, self.cfg);
+                    let stage = Arc::new(EngineStage::new(engine, self.rt.stage_memo()));
+                    routes.push((lut, Route::Stage(Arc::clone(&stage))));
+                    plan.push(UnitPlan::Lut { name, stage });
+                }
+                None => plan.push(UnitPlan::Dense { name }),
             }
         }
+        ModelSession::new(self.model, self.ps, plan, routes)
     }
 
     /// Builds the token-streaming [`DecodeSession`]: `step(tokens)` grows
@@ -758,68 +452,46 @@ impl<'rt, 'm, 't, M: ServableModel> SessionBuilder<'rt, 'm, 't, M> {
     /// Fails with [`ServeError::Invalid`] when the model has no
     /// incremental-forward contract ([`ServableModel::decode_contract`] —
     /// e.g. a bidirectional transformer, whose every row changes each
-    /// step) or when a [`SessionBuilder::shared`] template is set (decode
-    /// sessions own their per-stage prefix caches; there is no window to
-    /// share).
+    /// step).
     pub fn build_decode(self) -> Result<DecodeSession<'m, M>, ServeError> {
-        if self.shared.is_some() {
-            return Err(ServeError::Invalid {
-                reason: "decode sessions own their per-stage prefix caches; \
-                         a shared stage-batcher template cannot serve them"
-                    .to_string(),
-            });
-        }
         self.model
             .decode_contract()
             .map_err(|reason| ServeError::Invalid { reason })?;
         let walk = self.model.unit_walk();
         let mut plan = Vec::with_capacity(walk.len());
-        let mut luts = Vec::new();
+        let mut routes = Vec::new();
         for unit in walk {
+            let name = unit.name.clone();
             match as_lut(unit) {
                 Some(lut) => {
                     let engine = self.rt.engine_with(lut, self.ps, self.cfg);
-                    let cache = Rc::new(DecodeStageCache::new(self.rt.stage_memo()));
-                    lut.install_deploy_decode(
-                        Arc::clone(&engine),
-                        Rc::clone(&cache),
-                        self.ps.version(),
-                    );
-                    plan.push(DecodePlan::Lut {
-                        name: unit.name.clone(),
-                        engine,
-                        cache,
-                    });
-                    luts.push(lut);
+                    let cache = Rc::new(DecodeStageCache::new(engine, self.rt.stage_memo()));
+                    routes.push((lut, Route::Decode(Rc::clone(&cache))));
+                    plan.push(DecodePlan::Lut { name, cache });
                 }
-                None => plan.push(DecodePlan::Dense {
-                    name: unit.name.clone(),
-                }),
+                None => plan.push(DecodePlan::Dense { name }),
             }
         }
-        Ok(DecodeSession::new(self.model, self.ps, plan, luts))
+        Ok(DecodeSession::new(self.model, self.ps, plan, routes))
     }
 }
 
-impl<M: ServableModel> std::fmt::Debug for SessionBuilder<'_, '_, '_, M> {
+impl<M: ServableModel> std::fmt::Debug for SessionBuilder<'_, '_, M> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SessionBuilder")
             .field("cfg", &self.cfg)
-            .field("policy", &self.policy)
-            .field("shared", &self.shared.is_some())
             .finish()
     }
 }
 
 /// Builder for single-layer serving front doors, started by
-/// [`LutRuntime::serve_layer`] (the former `session*` family).
+/// [`LutRuntime::serve_layer`].
 #[must_use = "a layer-session builder does nothing until `build()`"]
 pub struct LayerSessionBuilder<'rt, 'l> {
     rt: &'rt mut LutRuntime,
     lut: &'l LutGemm,
     ps: &'l ParamSet,
     cfg: DeployConfig,
-    policy: BatchPolicy,
 }
 
 impl LayerSessionBuilder<'_, '_> {
@@ -830,22 +502,17 @@ impl LayerSessionBuilder<'_, '_> {
         self
     }
 
-    /// Overrides the batch policy (defaults to
-    /// [`RuntimeOptions::policy`]) — e.g. [`BatchPolicy::Adaptive`] to
-    /// let this front door's window track its own queue pressure.
-    pub fn policy(mut self, policy: BatchPolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-
     /// Builds the micro-batched front door: `submit(row)` calls coalesce
-    /// into batched engine runs (see [`MicroBatcher`]), with a fresh
-    /// per-door encode memo when [`RuntimeOptions::memo_rows`] is set.
+    /// into batched engine runs under the default window
+    /// ([`BatchOptions::default`]: 64 rows, 2 ms), with a fresh per-door
+    /// encode memo when [`RuntimeOptions::memo_rows`] is set. For another
+    /// window, build the batcher over [`LutRuntime::engine_with`] with
+    /// [`MicroBatcher::with_memo`].
     pub fn build(self) -> MicroBatcher {
         let memo = self.rt.stage_memo();
-        MicroBatcher::with_policy_memo(
+        MicroBatcher::with_memo(
             self.rt.engine_with(self.lut, self.ps, self.cfg),
-            self.policy,
+            BatchOptions::default(),
             memo,
         )
     }
@@ -855,7 +522,6 @@ impl std::fmt::Debug for LayerSessionBuilder<'_, '_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("LayerSessionBuilder")
             .field("cfg", &self.cfg)
-            .field("policy", &self.policy)
             .finish()
     }
 }
@@ -1195,41 +861,6 @@ mod tests {
     }
 
     #[test]
-    fn stage_batchers_carry_per_stage_memos_when_enabled() {
-        let (ps, net, images) = converted_net(127);
-        let mut rt = LutRuntime::with_options(
-            DeployConfig::fp32(),
-            RuntimeOptions {
-                memo_rows: 4096,
-                ..RuntimeOptions::default()
-            },
-        );
-        let batchers = rt.stage_batchers(&net, &ps, DeployConfig::fp32(), BatchPolicy::default());
-        let image = Tensor::from_vec(images.data()[..3 * 16 * 16].to_vec(), &[3, 16, 16]);
-        let serve = |rt: &mut LutRuntime| {
-            let session = rt.serve(&net, &ps).shared(&batchers).build_model();
-            let handle = session.submit(image.clone()).expect("valid image");
-            session.flush();
-            handle.wait().expect("session alive")
-        };
-        let first = serve(&mut rt);
-        // Same image again: every stage re-sees its rows, so each stage's
-        // memo serves hits — and the logits stay bit-identical.
-        let second = serve(&mut rt);
-        assert_eq!(first, second, "memo-backed pipeline diverged");
-        for (name, stats) in batchers.stage_stats() {
-            assert!(
-                stats.memo_misses > 0,
-                "stage {name}: first pass never touched its memo"
-            );
-            assert!(
-                stats.memo_hits > 0,
-                "stage {name}: duplicate image produced no memo hits"
-            );
-        }
-    }
-
-    #[test]
     fn whole_net_deploy_via_dense_units_matches_eval_forward() {
         let mut rng = StdRng::seed_from_u64(121);
         let mut ps = ParamSet::new();
@@ -1285,103 +916,8 @@ mod tests {
         (ps, net, images)
     }
 
-    #[test]
-    fn shared_stage_batchers_persist_counters_across_session_rebuilds() {
-        let (ps, net, images) = converted_net(124);
-        let mut rt = LutRuntime::new(DeployConfig::fp32());
-        let batchers = rt.stage_batchers(&net, &ps, DeployConfig::fp32(), BatchPolicy::default());
-        assert!(batchers.lut_stages() > 0);
-        // The template alone deploys nothing and built each engine once.
-        assert!(lut_layers(net.dense_units()).all(|l| l.deployed_engine().is_none()));
-        let after_build = rt.stats();
-        assert_eq!(after_build.misses, batchers.lut_stages() as u64);
-
-        let image = Tensor::from_vec(images.data()[..3 * 16 * 16].to_vec(), &[3, 16, 16]);
-        let serve = |rt: &mut LutRuntime| {
-            let session = rt.serve(&net, &ps).shared(&batchers).build_model();
-            let handle = session.submit(image.clone()).expect("valid image");
-            session.flush();
-            handle.wait().expect("session alive")
-        };
-
-        let first = serve(&mut rt);
-        let after_one = batchers.stage_stats();
-        assert!(after_one.iter().all(|(_, s)| s.batches_run > 0));
-        // Session drop undeployed the layers; the template keeps counting.
-        assert!(lut_layers(net.dense_units()).all(|l| l.deployed_engine().is_none()));
-
-        let second = serve(&mut rt);
-        assert_eq!(first, second, "rebuilt session diverged");
-        for ((name, one), (_, two)) in after_one.iter().zip(batchers.stage_stats()) {
-            let d = two.delta(one);
-            assert!(
-                d.batches_run > 0 && d.rows_served > 0,
-                "stage {name}: counters reset across the session rebuild"
-            );
-        }
-        // Stamping sessions out of the template touched no cache entries.
-        assert_eq!(rt.stats(), after_build);
-    }
-
-    #[test]
-    #[should_panic(expected = "stale")]
-    fn stale_stage_batcher_template_is_rejected() {
-        let (mut ps, net, _) = converted_net(125);
-        let mut rt = LutRuntime::new(DeployConfig::fp32());
-        let batchers = rt.stage_batchers(&net, &ps, DeployConfig::fp32(), BatchPolicy::default());
-        // Any mutation bumps the version: the template's engines are now
-        // tiled from dead parameters and must not go live.
-        let weight = lut_layers(net.dense_units()).next().expect("lut").weight();
-        ps.value_mut(weight).scale_mut(1.0);
-        let _ = rt.serve(&net, &ps).shared(&batchers).build_model();
-    }
-
-    /// The deprecated `session*`/`model_session*` constructors must stay
-    /// thin wrappers over the builder: same engines out of the cache, same
-    /// bits out of the forward, until the family is removed.
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_constructors_match_the_builder_they_wrap() {
-        let (ps, lut, calib) = layer_setup();
-        let mut rt = LutRuntime::new(DeployConfig::fp32());
-        let x = calib.rows(0, 4);
-        let (m, k) = (x.dims()[0], x.dims()[1]);
-        let run_rows = |door: &MicroBatcher| -> Vec<f32> {
-            (0..m)
-                .flat_map(|i| {
-                    door.submit(&x.data()[i * k..(i + 1) * k])
-                        .expect("row")
-                        .wait()
-                        .expect("door alive")
-                })
-                .collect()
-        };
-        let via_builder = run_rows(&rt.serve_layer(&lut, &ps).build());
-        let via_legacy = run_rows(&rt.session(&lut, &ps));
-        assert_eq!(via_builder, via_legacy, "legacy layer door diverged");
-        // Both doors resolved the same cached engine: one miss total.
-        assert_eq!(rt.stats().misses, 1);
-        assert_eq!(rt.stats().hits, 1);
-
-        let (ps, net, images) = converted_net(128);
-        let image = Tensor::from_vec(images.data()[..3 * 16 * 16].to_vec(), &[3, 16, 16]);
-        let a = {
-            let session = rt.serve(&net, &ps).build_model();
-            session.run([image.clone()]).expect("valid image")
-        };
-        let b = {
-            let session = rt.model_session(&net, &ps);
-            session.run([image]).expect("valid image")
-        };
-        assert_eq!(a.data(), b.data(), "legacy model session diverged");
-        // The deprecated error alias still names the unified type.
-        let err: crate::session::SessionError = ServeError::EmptyRun;
-        assert_eq!(err, ServeError::EmptyRun);
-    }
-
     /// `build_decode` is gated on the model's incremental-forward
-    /// contract, and refuses a shared template (a decode session owns its
-    /// prefix caches); a failed build leaves nothing deployed.
+    /// contract; a failed build leaves nothing deployed.
     #[test]
     fn build_decode_rejects_models_without_a_contract() {
         let (ps, net, _) = converted_net(129);
@@ -1394,28 +930,9 @@ mod tests {
             matches!(&err, ServeError::Invalid { reason } if reason.contains("incremental")),
             "wrong rejection: {err}"
         );
-        let batchers = rt.stage_batchers(&net, &ps, DeployConfig::fp32(), BatchPolicy::default());
-        let err = rt
-            .serve(&net, &ps)
-            .shared(&batchers)
-            .build_decode()
-            .expect_err("shared templates cannot serve decode");
-        assert!(matches!(&err, ServeError::Invalid { reason } if reason.contains("template")));
         assert!(
             lut_layers(net.dense_units()).all(|l| l.deployed_engine().is_none()),
             "failed decode build left deploy state behind"
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "different ParamSet")]
-    fn foreign_stage_batcher_template_is_rejected() {
-        let (ps, net, _) = converted_net(126);
-        let mut rt = LutRuntime::new(DeployConfig::fp32());
-        let batchers = rt.stage_batchers(&net, &ps, DeployConfig::fp32(), BatchPolicy::default());
-        // A clone shares ids and version but has its own uid — engines
-        // built against one set's values must not serve the other.
-        let ps2 = ps.clone();
-        let _ = rt.serve(&net, &ps2).shared(&batchers).build_model();
     }
 }

@@ -1,40 +1,39 @@
 //! `ModelSession`: the whole-model serving front door — one `submit(input)`
-//! pipelines a single request through **every** deployed layer and resolves
-//! a [`Pending`] handle with the final logits.
+//! queues a single request, and each flush runs **every** layer of the
+//! model over the queued batch and resolves a [`Pending`] handle per
+//! request with its logits.
 //!
-//! [`crate::LutRuntime::session`] serves one layer's engine;
+//! [`crate::LutRuntime::serve_layer`] serves one layer's engine;
 //! `ModelSession` closes the loop on the paper's end-to-end story (every
 //! dense unit of a model lowered onto the LUTMM fabric) by compiling a
 //! model's ordered unit walk into a [`UnitPlan`] per dense unit:
 //!
 //! * **LUT units** resolve their engine through the runtime's LRU cache
-//!   (zero re-tiling at an unchanged parameter version) and are fronted by
-//!   **one [`MicroBatcher`] per stage** in drain mode: each stage submits
-//!   its whole activation block as one request and is served immediately,
-//!   never sleeping on a deadline. The per-stage batcher is the stage's
-//!   observability point ([`ModelSession::stage_stats`]) and its policy
-//!   seam: building with [`crate::SessionBuilder::policy`] installs a
-//!   [`lutdla_vq::BatchPolicy::Adaptive`] controller per stage, so every
-//!   stage's flush window widens under backlog and collapses when idle,
-//!   independently of the other stages'.
+//!   (zero re-tiling at an unchanged parameter version) and call it
+//!   directly, on the flushing thread, through one
+//!   [`lutdla_vq::EngineStage`] per stage — each layer's encode feeds its
+//!   lookup with no queue in between, as in LUT-DLA's CCM→IMM datapath.
+//!   The stage counts every call ([`ModelSession::stage_stats`]).
 //! * **Dense units** (stem/head layers the convert policy kept dense, bias
 //!   adds, batch norm, residuals, attention, pooling) run through the
 //!   model's own eval forward, so the session replays *exactly* what
 //!   `eval_images`/`eval_seq` compute over a deployed model.
 //!
-//! Submissions coalesce at the front door too: requests queue until
-//! [`lutdla_vq::BatchOptions::max_batch`] are pending (or [`ModelSession::flush`] /
-//! a batch-incompatible request / session drop forces a flush), then one
-//! eval-mode forward serves the whole batch. Because every per-example
-//! computation is batch-grouping independent (see
-//! [`ServableModel::forward_logits`]), the logits a handle resolves with
-//! are **bit-identical** to any other batching of the same example —
-//! including the plain `deploy` + `eval_*` path.
+//! Submissions coalesce at the front door: requests queue until 64 are
+//! pending (or [`ModelSession::flush`] / a batch-incompatible request /
+//! session drop forces a flush), then one eval-mode forward serves the
+//! whole batch. Because every per-example computation is batch-grouping
+//! independent (see [`ServableModel::forward_logits`]), the logits a handle
+//! resolves with are **bit-identical** to any other batching of the same
+//! example — including the plain `deploy` + `eval_*` path.
 //!
-//! A session *owns* the deployment of the model's LUT units for its
-//! lifetime: construction installs batched deploy state on every converted
-//! layer, and drop clears it (engines stay warm in the runtime cache). Keep
-//! at most one live session per model.
+//! A session installs its routes on the model's LUT layers only for the
+//! span of one forward: each flush (and each [`DecodeSession::step`])
+//! swaps the session's routes in and restores whatever the layers held
+//! before, also when the forward unwinds. Building a session starts no
+//! thread and touches no layer, so any number of sessions — at different
+//! numerics, next to a live [`crate::LutRuntime::deploy`] — can serve one
+//! model side by side.
 
 use std::cell::{Cell, RefCell};
 
@@ -44,25 +43,18 @@ use lutdla_tensor::Tensor;
 use lutdla_vq::{Pending, PendingResolver, ServeError};
 
 use crate::deploy::{DecodePlan, DecodeStageStats, UnitPlan};
-use crate::lut_gemm::LutGemm;
+use crate::lut_gemm::{InstalledRoutes, LutGemm, Route};
 
-/// The session-layer error type, folded into the serving-wide
-/// [`ServeError`] (its variant names and `Display` text are unchanged, so
-/// existing matches and message checks keep working).
-#[deprecated(
-    note = "use `ServeError`: session, gateway, and decode callers share one error surface"
-)]
-pub type SessionError = ServeError;
+/// Front-door coalescing width of a [`ModelSession`], in requests.
+const MAX_BATCH: usize = 64;
 
 /// The whole-model serving session. See the module docs.
 pub struct ModelSession<'m, M: ServableModel> {
     model: &'m M,
     ps: &'m ParamSet,
     plan: Vec<UnitPlan>,
-    /// The LUT layers this session deployed (cleared on drop).
-    luts: Vec<&'m LutGemm>,
-    /// Front-door coalescing width, in requests.
-    max_batch: usize,
+    /// The route of every LUT layer, installed for each flush's forward.
+    routes: Vec<(&'m LutGemm, Route)>,
     classes: usize,
     queue: RefCell<Vec<(M::Input, PendingResolver)>>,
     batches: Cell<usize>,
@@ -71,21 +63,19 @@ pub struct ModelSession<'m, M: ServableModel> {
 
 impl<'m, M: ServableModel> ModelSession<'m, M> {
     /// Called by [`crate::SessionBuilder::build_model`] with the compiled
-    /// plan (engines already resolved through the cache and installed on
-    /// the layers as batched deploys).
+    /// plan and the LUT layers' routes (engines already resolved through
+    /// the cache).
     pub(crate) fn new(
         model: &'m M,
         ps: &'m ParamSet,
         plan: Vec<UnitPlan>,
-        luts: Vec<&'m LutGemm>,
-        max_batch: usize,
+        routes: Vec<(&'m LutGemm, Route)>,
     ) -> Self {
         Self {
             model,
             ps,
             plan,
-            luts,
-            max_batch: max_batch.max(1),
+            routes,
             classes: model.num_classes(),
             queue: RefCell::new(Vec::new()),
             batches: Cell::new(0),
@@ -99,8 +89,8 @@ impl<'m, M: ServableModel> ModelSession<'m, M> {
     ///
     /// The request joins the open batch unless it cannot share one forward
     /// with what is queued (e.g. a different sequence length), in which
-    /// case the open batch flushes first. Reaching `max_batch` queued
-    /// requests flushes automatically; [`ModelSession::flush`] forces a
+    /// case the open batch flushes first. Reaching 64 queued requests
+    /// flushes automatically; [`ModelSession::flush`] forces a
     /// partial batch out.
     pub fn submit(&self, input: M::Input) -> Result<Pending, ServeError> {
         self.model
@@ -118,7 +108,7 @@ impl<'m, M: ServableModel> ModelSession<'m, M> {
         let full = {
             let mut q = self.queue.borrow_mut();
             q.push((input, resolver));
-            q.len() >= self.max_batch
+            q.len() >= MAX_BATCH
         };
         if full {
             self.flush();
@@ -135,7 +125,10 @@ impl<'m, M: ServableModel> ModelSession<'m, M> {
         }
         let (inputs, resolvers): (Vec<M::Input>, Vec<PendingResolver>) =
             drained.into_iter().unzip();
-        let logits = self.model.forward_logits(self.ps, &inputs);
+        let logits = {
+            let _routes = InstalledRoutes::install(&self.routes, self.ps.version());
+            self.model.forward_logits(self.ps, &inputs)
+        };
         debug_assert_eq!(logits.dims(), &[inputs.len(), self.classes]);
         self.batches.set(self.batches.get() + 1);
         self.rows.set(self.rows.get() + inputs.len());
@@ -178,8 +171,7 @@ impl<'m, M: ServableModel> ModelSession<'m, M> {
 
     /// Per-stage serving counters, in forward order: `(unit name, stats)`
     /// for every LUT stage ([`UnitPlan::stage_stats`]); dense units are
-    /// skipped. Under an adaptive policy each stage's `current_window`
-    /// converges independently, tracking that stage's own block sizes.
+    /// skipped.
     pub fn stage_stats(&self) -> Vec<(&str, lutdla_vq::StageStats)> {
         self.plan
             .iter()
@@ -215,13 +207,10 @@ impl<'m, M: ServableModel> ModelSession<'m, M> {
 
 impl<M: ServableModel> Drop for ModelSession<'_, M> {
     fn drop(&mut self) {
-        // Serve what is still queued, then hand the layers back to
-        // training-mode forwards. The engines survive in the runtime cache,
-        // so the next session at this parameter version re-tiles nothing.
+        // Serve what is still queued. The session left nothing on the
+        // layers, and its engines survive in the runtime cache, so the next
+        // session at this parameter version re-tiles nothing.
         self.flush();
-        for lut in &self.luts {
-            lut.clear_deploy();
-        }
     }
 }
 
@@ -233,7 +222,7 @@ impl<M: ServableModel> Drop for ModelSession<'_, M> {
 /// (via [`ServableModel::extend_input`]) and serves the extended prefix's
 /// logits immediately, resolving the returned [`Pending`] with a per-step
 /// timing stamp. Each LUT stage routes through a
-/// [`crate::DecodeStageCache`] installed for the session's lifetime: the
+/// [`crate::DecodeStageCache`] installed for the span of each step: the
 /// stage's activation rows for the already-processed prefix keep their
 /// packed codes from the previous step, so only the new token's rows pay
 /// the similarity walk — the encode-once economics of
@@ -249,16 +238,15 @@ impl<M: ServableModel> Drop for ModelSession<'_, M> {
 /// served: on a bidirectional model every step would change every row and
 /// the cache could never reuse a thing.
 ///
-/// Like [`ModelSession`], a decode session owns its model's LUT
-/// deployment: construction installs decode deploy state on every
-/// converted layer and drop clears it. Keep at most one live session per
-/// model.
+/// Like [`ModelSession`], a decode session installs its routes only for
+/// the span of each step's forward, so it can share its model with other
+/// live sessions.
 pub struct DecodeSession<'m, M: ServableModel> {
     model: &'m M,
     ps: &'m ParamSet,
     plan: Vec<DecodePlan>,
-    /// The LUT layers this session deployed (cleared on drop).
-    luts: Vec<&'m LutGemm>,
+    /// The route of every LUT layer, installed for each step's forward.
+    routes: Vec<(&'m LutGemm, Route)>,
     classes: usize,
     prefix: RefCell<Option<M::Input>>,
     steps: Cell<usize>,
@@ -266,19 +254,19 @@ pub struct DecodeSession<'m, M: ServableModel> {
 
 impl<'m, M: ServableModel> DecodeSession<'m, M> {
     /// Called by [`crate::SessionBuilder::build_decode`] with the compiled
-    /// plan (engines resolved through the cache, decode deploy state
-    /// installed on the layers).
+    /// plan and the LUT layers' prefix-cache routes (engines resolved
+    /// through the cache).
     pub(crate) fn new(
         model: &'m M,
         ps: &'m ParamSet,
         plan: Vec<DecodePlan>,
-        luts: Vec<&'m LutGemm>,
+        routes: Vec<(&'m LutGemm, Route)>,
     ) -> Self {
         Self {
             model,
             ps,
             plan,
-            luts,
+            routes,
             classes: model.num_classes(),
             prefix: RefCell::new(None),
             steps: Cell::new(0),
@@ -310,9 +298,11 @@ impl<'m, M: ServableModel> DecodeSession<'m, M> {
                 step
             }
         };
-        let logits = self
-            .model
-            .forward_logits(self.ps, std::slice::from_ref(&grown));
+        let logits = {
+            let _routes = InstalledRoutes::install(&self.routes, self.ps.version());
+            self.model
+                .forward_logits(self.ps, std::slice::from_ref(&grown))
+        };
         debug_assert_eq!(logits.dims(), &[1, self.classes]);
         *self.prefix.borrow_mut() = Some(grown);
         self.steps.set(self.steps.get() + 1);
@@ -364,16 +354,6 @@ impl<'m, M: ServableModel> DecodeSession<'m, M> {
     }
 }
 
-impl<M: ServableModel> Drop for DecodeSession<'_, M> {
-    fn drop(&mut self) {
-        // Hand the layers back to training-mode forwards; the engines stay
-        // warm in the runtime cache.
-        for lut in &self.luts {
-            lut.clear_deploy();
-        }
-    }
-}
-
 impl<M: ServableModel> std::fmt::Debug for DecodeSession<'_, M> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("DecodeSession")
@@ -392,7 +372,6 @@ impl<M: ServableModel> std::fmt::Debug for ModelSession<'_, M> {
             .field("units", &self.plan.len())
             .field("lut_stages", &self.lut_stages())
             .field("classes", &self.classes)
-            .field("max_batch", &self.max_batch)
             .field("queued", &self.queued())
             .field("batches_run", &self.batches_run())
             .field("rows_served", &self.rows_served())
@@ -578,117 +557,6 @@ mod tests {
         }
     }
 
-    /// Acceptance property (ISSUE 5): a session whose stages run under an
-    /// **adaptive** batch policy is bit-identical to the static-policy
-    /// session (and therefore to the plain deploy + eval path) for every
-    /// `LutQuant × FloatPrecision` combo — the window a stage's controller
-    /// happens to be at is purely a throughput decision.
-    #[test]
-    fn adaptive_policy_session_bit_identical_to_static_all_combos() {
-        let (ps, net, images) = converted_convnet();
-        let m = images.dims()[0];
-        let mut rt = LutRuntime::new(DeployConfig::fp32());
-        let policy = lutdla_vq::BatchPolicy::Adaptive(lutdla_vq::AdaptiveOptions {
-            min_batch: 1,
-            max_batch: 4096,
-            ..lutdla_vq::AdaptiveOptions::default()
-        });
-        for cfg in all_combos() {
-            let reference = {
-                let session = rt.serve(&net, &ps).config(cfg).build_model();
-                session
-                    .run((0..m).map(|i| image(&images, i)))
-                    .expect("valid images")
-            };
-            let session = rt.serve(&net, &ps).config(cfg).policy(policy).build_model();
-            let adaptive = session
-                .run((0..m).map(|i| image(&images, i)))
-                .expect("valid images");
-            assert_eq!(
-                adaptive.data(),
-                reference.data(),
-                "{cfg:?}: adaptive-policy session diverged from static"
-            );
-            // One-by-one submits land on different windows mid-adaptation;
-            // the logits must not care.
-            let n = reference.dims()[1];
-            for i in [0usize, m - 1] {
-                let handle = session.submit(image(&images, i)).expect("valid image");
-                session.flush();
-                let row = handle.wait().expect("session alive");
-                assert_eq!(
-                    row.as_slice(),
-                    &reference.data()[i * n..(i + 1) * n],
-                    "{cfg:?}: adaptive single submit diverged on image {i}"
-                );
-            }
-        }
-    }
-
-    /// Each LUT stage's adaptive window converges **independently** to its
-    /// own deterministic fixed point: repeated flushes of `B` images hand
-    /// stage `s` one block of `B · r_s` rows, and the controller doubles
-    /// the window while the block overflows it — so it settles at the
-    /// smallest `min_batch · 2^j ≥ B · r_s` (capped), a per-stage value.
-    #[test]
-    fn adaptive_session_stage_windows_converge_per_stage() {
-        let (ps, net, images) = converted_convnet();
-        let mut rt = LutRuntime::new(DeployConfig::fp32());
-        // Baseline: one flush of one image measures r_s per stage.
-        let per_image: Vec<(String, usize)> = {
-            let session = rt.serve(&net, &ps).build_model();
-            let _ = session.run([image(&images, 0)]).expect("valid image");
-            session
-                .stage_stats()
-                .into_iter()
-                .map(|(name, s)| (name.to_string(), s.rows_served))
-                .collect()
-        };
-        assert!(!per_image.is_empty(), "no LUT stages planned");
-
-        let cap = 4096usize;
-        let policy =
-            lutdla_vq::BatchPolicy::Adaptive(lutdla_vq::AdaptiveOptions::drain_only(1, cap));
-        let session = rt
-            .serve(&net, &ps)
-            .config(DeployConfig::fp32())
-            .policy(policy)
-            .build_model();
-        let flushes = 16; // enough doublings to reach any stage's fixed point
-        let batch = 3usize;
-        for round in 0..flushes {
-            let handles: Vec<Pending> = (0..batch)
-                .map(|i| {
-                    session
-                        .submit(image(&images, (round + i) % images.dims()[0]))
-                        .expect("valid image")
-                })
-                .collect();
-            session.flush();
-            for h in handles {
-                h.wait().expect("session alive");
-            }
-        }
-        for ((name, stats), (base_name, r)) in session.stage_stats().iter().zip(&per_image) {
-            assert_eq!(name, base_name, "stage order diverged");
-            let block = batch * r;
-            let expected = std::iter::successors(Some(1usize), |w| Some(w * 2))
-                .find(|&w| w >= block)
-                .unwrap()
-                .min(cap);
-            assert_eq!(
-                stats.current_window, expected,
-                "stage {name}: window did not converge for {block}-row blocks"
-            );
-            assert_eq!(
-                stats.rows_served,
-                flushes * block,
-                "stage {name}: row accounting broke"
-            );
-            assert_eq!(stats.queued_high_water, block, "stage {name}");
-        }
-    }
-
     /// Satellite (ISSUE 5): with N concurrent submitters feeding the
     /// session, every LUT stage's `rows_served` accounts for exactly the
     /// total submitted examples (`images · r_s` rows at stage `s`), and
@@ -836,14 +704,16 @@ mod tests {
         for h in handles {
             assert_eq!(h.wait().expect("alive").len(), session.num_classes());
         }
-        // Every LUT stage served its activation blocks through its own
-        // micro-batcher — rows flowed through the whole pipeline.
+        // Every LUT stage served its activation block in one engine call —
+        // rows flowed through the whole pipeline.
         for plan in session.plan() {
-            if let UnitPlan::Lut { name, stage, .. } = plan {
+            if let UnitPlan::Lut { name, stage } = plan {
+                let stats = stage.stats();
                 assert!(
-                    stage.rows_served() > 0,
+                    stats.rows_served > 0,
                     "stage {name} was bypassed by the pipeline"
                 );
+                assert_eq!(stats.batches_run, 1, "stage {name}: one call per flush");
             }
         }
     }
@@ -866,25 +736,122 @@ mod tests {
     }
 
     #[test]
-    fn drop_flushes_outstanding_requests_and_undeploys() {
+    fn drop_flushes_outstanding_requests_and_leaves_layers_untouched() {
         let (ps, net, images) = converted_convnet();
         let mut rt = LutRuntime::new(DeployConfig::fp32());
         let session = rt.serve(&net, &ps).build_model();
-        let lut_stages = session.lut_stages();
+        let deployed = || {
+            crate::deploy::lut_layers(net.dense_units())
+                .filter(|l| l.deployed_engine().is_some())
+                .count()
+        };
+        // Building the session installed nothing on the layers …
+        assert_eq!(deployed(), 0);
         let handle = session.submit(image(&images, 0)).expect("valid image");
-        // While the session lives, converted layers are deployed (batched).
-        let deployed = crate::deploy::lut_layers(net.dense_units())
-            .filter(|l| l.deployed_engine().is_some())
-            .count();
-        assert_eq!(deployed, lut_stages);
         drop(session);
-        // Flush-on-drop resolved the handle …
+        // … flush-on-drop resolved the handle …
         assert_eq!(handle.wait().expect("resolved on drop").len(), 4);
-        // … and the layers are back to training-mode forwards.
-        let still_deployed = crate::deploy::lut_layers(net.dense_units())
-            .filter(|l| l.deployed_engine().is_some())
-            .count();
-        assert_eq!(still_deployed, 0, "drop must undeploy the model");
+        // … and the flush put the layers back the way it found them.
+        assert_eq!(deployed(), 0, "a flush left its routes installed");
+    }
+
+    /// Two live sessions over one model at different numerics never see
+    /// each other's routes: interleaved flushes and dropping the older
+    /// session leave both bit-identical to their solo references, and a
+    /// live `rt.deploy` is still in place after every session flush.
+    #[test]
+    fn live_sessions_over_one_model_keep_their_own_routes() {
+        let (ps, net, images) = converted_convnet();
+        let m = images.dims()[0];
+        let inputs = || (0..m).map(|i| image(&images, i));
+        let (cfg_a, cfg_b) = (DeployConfig::fp32(), DeployConfig::bf16_int8());
+        let mut rt = LutRuntime::new(DeployConfig::fp32());
+        let solo = |rt: &mut LutRuntime, cfg| {
+            let session = rt.serve(&net, &ps).config(cfg).build_model();
+            session.run(inputs()).expect("valid images")
+        };
+        let (want_a, want_b) = (solo(&mut rt, cfg_a), solo(&mut rt, cfg_b));
+        assert_ne!(want_a.data(), want_b.data(), "configs must differ");
+
+        // A live plain deploy at a third numerics config.
+        let cfg_c = DeployConfig {
+            lut_quant: LutQuant::F16,
+            precision: FloatPrecision::Fp16,
+        };
+        rt.deploy_with(net.dense_units(), &ps, cfg_c);
+        let deployed: Vec<_> = crate::deploy::lut_layers(net.dense_units())
+            .map(|l| l.deployed_engine().expect("deployed"))
+            .collect();
+
+        let a = rt.serve(&net, &ps).config(cfg_a).build_model();
+        let b = rt.serve(&net, &ps).config(cfg_b).build_model();
+        for round in 0..2 {
+            let got_b = b.run(inputs()).expect("valid images");
+            let got_a = a.run(inputs()).expect("valid images");
+            assert_eq!(
+                got_a.data(),
+                want_a.data(),
+                "round {round}: session A diverged"
+            );
+            assert_eq!(
+                got_b.data(),
+                want_b.data(),
+                "round {round}: session B diverged"
+            );
+        }
+        drop(a);
+        let got_b = b.run(inputs()).expect("valid images");
+        assert_eq!(
+            got_b.data(),
+            want_b.data(),
+            "dropping session A changed session B's logits"
+        );
+        // The plain deploy survived every flush, engine for engine.
+        for (lut, engine) in crate::deploy::lut_layers(net.dense_units()).zip(&deployed) {
+            let now = lut.deployed_engine().expect("rt.deploy still in place");
+            assert!(std::sync::Arc::ptr_eq(&now, engine), "deploy was replaced");
+        }
+        undeploy_units(net.dense_units());
+    }
+
+    /// A memo-backed runtime serves every `LutQuant × FloatPrecision`
+    /// combo bit-identically to a memo-off one, and a repeated image hits
+    /// every stage's memo.
+    #[test]
+    fn memo_backed_session_bit_identical_all_combos_and_hits_on_repeats() {
+        let (ps, net, images) = converted_convnet();
+        let batch = || [0usize, 1, 0].map(|i| image(&images, i));
+        for cfg in all_combos() {
+            let mut plain_rt = LutRuntime::new(cfg);
+            let want = plain_rt
+                .serve(&net, &ps)
+                .build_model()
+                .run(batch())
+                .expect("valid images");
+            let mut memo_rt = LutRuntime::with_options(
+                cfg,
+                crate::runtime::RuntimeOptions {
+                    memo_rows: 4096,
+                    ..crate::runtime::RuntimeOptions::default()
+                },
+            );
+            let session = memo_rt.serve(&net, &ps).build_model();
+            for pass in 0..2 {
+                let got = session.run(batch()).expect("valid images");
+                assert_eq!(
+                    got.data(),
+                    want.data(),
+                    "{cfg:?}: memo-backed pass {pass} diverged"
+                );
+            }
+            for (name, stats) in session.stage_stats() {
+                assert!(stats.memo_misses > 0, "{cfg:?}: stage {name} never walked");
+                assert!(
+                    stats.memo_hits > 0,
+                    "{cfg:?}: stage {name}: repeated image produced no memo hits"
+                );
+            }
+        }
     }
 
     #[test]
@@ -923,8 +890,6 @@ mod tests {
                         h.wait().expect("step resolved")
                     })
                     .collect()
-                // `decode` drops here, releasing the layers' deploy state
-                // for the reference sessions below.
             };
             for (i, step_logits) in stepped.iter().enumerate() {
                 let fresh = rt.serve(&net, &ps).config(cfg).build_model();

@@ -58,6 +58,6 @@ pub use nonlinear::{Nonlinearity, PiecewiseTable};
 pub use pool::{PoolScope, WorkerPool};
 pub use precision::{bf16_round, fp16_round, FloatPrecision, Int8Block};
 pub use serve::{
-    lock_engine, share, AdaptiveOptions, BatchOptions, BatchPolicy, MicroBatcher, Pending,
-    PendingResolver, ServeError, ServeTiming, SharedEngine, StageStats, SubmitError,
+    lock_engine, share, BatchOptions, EngineStage, MicroBatcher, Pending, PendingResolver,
+    ServeError, ServeTiming, SharedEngine, StageStats,
 };

@@ -1,39 +1,32 @@
-//! `MicroBatcher`: a serving front door that coalesces row requests into
-//! the batched [`LutEngine`] calls the engine is fast at.
+//! The engine-calling seam every serving path shares: [`EngineStage`] runs
+//! one engine call on the caller's thread and accounts it, and
+//! [`MicroBatcher`] is the single-layer front door that coalesces row
+//! requests into those calls.
 //!
-//! The engine's throughput comes from streaming many rows against one
-//! cache-resident table tile; a request stream of single rows forfeits all
-//! of it. The batcher runs one collector thread per engine: the first
-//! request opens a batch and starts a deadline clock, further requests join
-//! until either [`BatchOptions::max_batch`] rows are pending or
+//! **`EngineStage`** is what a deployed LUT layer calls during its eval
+//! forward, with no queue in between — the CPU twin of LUT-DLA feeding
+//! each layer's CCM encode straight into its IMM lookup. One
+//! [`EngineStage::run`] locks the engine, runs the block through
+//! [`LutEngine::run_batch`] (or [`LutEngine::run_batch_memo`] when the
+//! stage carries an [`EncodeMemo`]), and records the call in the stage's
+//! [`StageStats`]: calls, rows, widest call, and engine service time.
+//!
+//! **`MicroBatcher`** serves one engine to many single-row submitters. It
+//! runs one collector thread: the first request opens a batch and starts a
+//! deadline clock, further requests join until either
+//! [`BatchOptions::max_batch`] rows are pending or
 //! [`BatchOptions::max_delay`] elapses, then the whole batch runs through
-//! [`LutEngine::run_batch`] and each caller's [`Pending`] handle resolves
-//! with its own output rows.
+//! the batcher's own `EngineStage` and each caller's [`Pending`] handle
+//! resolves with its own output rows. Requests may carry one row
+//! ([`MicroBatcher::submit`]) or a whole block
+//! ([`MicroBatcher::submit_rows`]).
 //!
-//! Requests may carry one row ([`MicroBatcher::submit`]) or a whole block
-//! ([`MicroBatcher::submit_rows`]) — a model pipeline submits each LUT
-//! stage's entire activation block as one request, and
-//! [`Pending::forward`] hands a resolved block straight to the next
-//! stage's batcher without surfacing the buffer to the caller.
-//!
-//! Two degenerate policies are first-class: `max_batch == 1` flushes every
+//! Two degenerate windows are first-class: `max_batch == 1` flushes every
 //! request the moment it arrives, and `max_delay == 0` drains only what is
 //! already queued — neither ever touches the deadline clock, so
-//! latency-critical single-row serving never sleeps.
-//!
-//! The coalescing window itself is a policy decision
-//! ([`BatchPolicy`]): a **static** window ([`BatchOptions`]) pins the
-//! flush threshold, while an **adaptive** window ([`AdaptiveOptions`])
-//! tracks queue pressure — the collector widens the window when flushes
-//! observe backlog (requests still queued once the window filled, or a
-//! single block overflowing it) and collapses it when flushes run
-//! under-filled, bounded by a latency SLO that caps how long any partial
-//! batch may wait. Either way the per-batcher signals (batches run, rows
-//! served, queued-depth high-water, current window, cumulative engine
-//! service time) are exposed through [`MicroBatcher::stats`] as a
-//! [`StageStats`] snapshot, and every resolved request carries its own
-//! submit→resolve [`ServeTiming`] ([`Pending::wait_timed`]) — the hooks a
-//! latency-percentile harness builds histograms from.
+//! latency-critical single-row serving never sleeps. Every resolved request
+//! carries its own submit→resolve [`ServeTiming`] ([`Pending::wait_timed`])
+//! — the hooks a latency-percentile harness builds histograms from.
 //!
 //! Because the engine computes every output row independently (encode and
 //! accumulate never mix rows), a row's result is **bit-identical** whether
@@ -51,7 +44,7 @@ use lutdla_tensor::Tensor;
 use crate::codes::EncodeMemo;
 use crate::engine::LutEngine;
 
-/// An engine behind a lock, shareable between a deployed layer, a cache,
+/// An engine behind a lock, shareable between deployed layers, a cache,
 /// and a [`MicroBatcher`] collector thread.
 pub type SharedEngine = Arc<Mutex<LutEngine>>;
 
@@ -70,7 +63,7 @@ pub fn lock_engine(engine: &SharedEngine) -> std::sync::MutexGuard<'_, LutEngine
     engine.lock().unwrap_or_else(|poison| poison.into_inner())
 }
 
-/// Static coalescing policy of a [`MicroBatcher`].
+/// Coalescing window of a [`MicroBatcher`].
 #[derive(Debug, Clone, Copy)]
 pub struct BatchOptions {
     /// Flush as soon as this many rows are pending. `0` is normalized to
@@ -91,7 +84,7 @@ impl Default for BatchOptions {
 }
 
 impl BatchOptions {
-    /// A zero-latency policy: every flush drains only what is already
+    /// A zero-latency window: every flush drains only what is already
     /// queued (up to `max_batch` rows) and never waits on the deadline
     /// clock. Concurrent submitters still coalesce opportunistically; a
     /// lone submitter gets an immediate run.
@@ -104,7 +97,7 @@ impl BatchOptions {
 
     /// The same options with degenerate fields clamped to servable values:
     /// `max_batch == 0` becomes `1`. Applied by [`MicroBatcher::new`] /
-    /// [`MicroBatcher::with_policy`], so a zero window is an explicit
+    /// [`MicroBatcher::with_memo`], so a zero window is an explicit
     /// construction-time contract rather than a silent clamp deep in the
     /// collector loop.
     pub fn normalized(self) -> Self {
@@ -115,177 +108,49 @@ impl BatchOptions {
     }
 }
 
-/// Adaptive coalescing policy: the flush window tracks queue pressure
-/// instead of being pinned.
-///
-/// The collector thread already observes every signal the controller
-/// needs: how many rows a flush drained (queue depth), and whether the
-/// window filled with requests still waiting (backlog — the inter-arrival
-/// rate outpacing the window). The rules:
-///
-/// * **Widen** — a flush that observed backlog (a request was already
-///   queued when the window filled, or one block overflowed the window)
-///   multiplies the window by [`AdaptiveOptions::widen_factor`], capped at
-///   [`AdaptiveOptions::max_batch`].
-/// * **Collapse** — a flush draining at most `window / collapse_divisor`
-///   rows divides the window by `widen_factor`, floored at
-///   [`AdaptiveOptions::min_batch`].
-/// * **Latency SLO** — a partial batch never waits longer than
-///   [`AdaptiveOptions::slo`] past its first arrival; `slo == 0` drains
-///   only what is already queued and never touches the deadline clock
-///   (the adaptive twin of [`BatchOptions::immediate`]).
-///
-/// An idle stream (one resolved request at a time) is a fixed point at
-/// `min_batch`: a lone row neither observes backlog nor, at the floor,
-/// under-fills the window — so idle traffic is served immediately, with no
-/// widen/collapse oscillation.
-#[derive(Debug, Clone, Copy)]
-pub struct AdaptiveOptions {
-    /// Collapsed window floor, in rows (normalized to at least 1).
-    pub min_batch: usize,
-    /// Widened window ceiling, in rows (normalized to at least
-    /// `min_batch`).
-    pub max_batch: usize,
-    /// Longest a partial batch may wait for its window to fill. Zero means
-    /// drain-only: never sleep on the deadline clock.
-    pub slo: Duration,
-    /// Window multiplier on a backlog flush — and the divisor on a
-    /// collapse (normalized to at least 2).
-    pub widen_factor: usize,
-    /// A flush draining at most `window / collapse_divisor` rows collapses
-    /// the window (normalized to at least 2).
-    pub collapse_divisor: usize,
-}
-
-impl Default for AdaptiveOptions {
-    fn default() -> Self {
-        Self {
-            min_batch: 1,
-            max_batch: 64,
-            slo: Duration::from_millis(2),
-            widen_factor: 2,
-            collapse_divisor: 2,
-        }
-    }
-}
-
-impl AdaptiveOptions {
-    /// A drain-only adaptive policy (`slo == 0`) over the given window
-    /// range: never sleeps, still widens under backlog and collapses when
-    /// idle.
-    pub fn drain_only(min_batch: usize, max_batch: usize) -> Self {
-        Self {
-            min_batch,
-            max_batch,
-            slo: Duration::ZERO,
-            ..Self::default()
-        }
-    }
-
-    /// The same options with degenerate fields clamped to servable values
-    /// (see the field docs).
-    pub fn normalized(self) -> Self {
-        let min_batch = self.min_batch.max(1);
-        Self {
-            min_batch,
-            max_batch: self.max_batch.max(min_batch),
-            slo: self.slo,
-            widen_factor: self.widen_factor.max(2),
-            collapse_divisor: self.collapse_divisor.max(2),
-        }
-    }
-}
-
-/// How a [`MicroBatcher`]'s collector decides when to flush: a pinned
-/// window, or one that adapts to queue pressure.
-#[derive(Debug, Clone, Copy)]
-pub enum BatchPolicy {
-    /// Fixed `max_batch`/`max_delay` coalescing ([`BatchOptions`]).
-    Static(BatchOptions),
-    /// Pressure-driven window between `min_batch` and `max_batch`, bounded
-    /// by a latency SLO ([`AdaptiveOptions`]).
-    Adaptive(AdaptiveOptions),
-}
-
-impl Default for BatchPolicy {
-    fn default() -> Self {
-        BatchPolicy::Static(BatchOptions::default())
-    }
-}
-
-impl BatchPolicy {
-    /// The default adaptive policy ([`AdaptiveOptions::default`]).
-    pub fn adaptive() -> Self {
-        BatchPolicy::Adaptive(AdaptiveOptions::default())
-    }
-
-    /// The policy with its options normalized (see
-    /// [`BatchOptions::normalized`] / [`AdaptiveOptions::normalized`]).
-    pub fn normalized(self) -> Self {
-        match self {
-            BatchPolicy::Static(o) => BatchPolicy::Static(o.normalized()),
-            BatchPolicy::Adaptive(o) => BatchPolicy::Adaptive(o.normalized()),
-        }
-    }
-
-    /// The widest batch this policy will ever flush (the front-door
-    /// coalescing width serving layers above the batcher should match).
-    pub fn max_batch(&self) -> usize {
-        match self {
-            BatchPolicy::Static(o) => o.max_batch.max(1),
-            BatchPolicy::Adaptive(o) => o.max_batch.max(o.min_batch).max(1),
-        }
-    }
-}
-
-/// A point-in-time snapshot of one batcher's serving counters — the
-/// per-stage observability surface of a whole-model session.
+/// A point-in-time snapshot of one [`EngineStage`]'s counters — the
+/// per-stage observability surface of a whole-model session and of a
+/// [`MicroBatcher`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StageStats {
-    /// Coalesced batches run so far.
+    /// Engine calls run so far (one per eval forward through a deployed
+    /// layer, one per coalesced flush of a batcher).
     pub batches_run: usize,
     /// Rows served so far.
     pub rows_served: usize,
-    /// Largest queue depth (rows drained by one flush) observed so far.
+    /// Widest engine call so far, in rows.
     pub queued_high_water: usize,
-    /// The current flush window, in rows. Constant for a static policy;
-    /// tracks the controller for an adaptive one.
-    pub current_window: usize,
-    /// Cumulative wall time spent inside the engine's `run_batch` across
-    /// every flush, in nanoseconds. `service_nanos / batches_run` is the
-    /// stage's mean per-flush service latency — the per-stage signal a
-    /// latency harness reads next to the per-request
-    /// [`ServeTiming`] timestamps.
+    /// Cumulative wall time spent inside the engine across every call, in
+    /// nanoseconds. `service_nanos / batches_run` is the stage's mean
+    /// per-call service latency — the per-stage signal a latency harness
+    /// reads next to the per-request [`ServeTiming`] timestamps.
     pub service_nanos: u64,
-    /// Encode-memo hits so far ([`MicroBatcher::with_policy_memo`]): rows
-    /// whose similarity walk was skipped via the cross-request
-    /// [`EncodeMemo`]. Zero for a batcher without a memo.
+    /// Encode-memo hits so far: rows whose similarity walk was skipped via
+    /// the stage's cross-request [`EncodeMemo`]. Zero without a memo.
     pub memo_hits: usize,
     /// Encode-memo misses so far (rows that paid the walk and were
-    /// inserted). Zero for a batcher without a memo.
+    /// inserted). Zero without a memo.
     pub memo_misses: usize,
     /// Encode-memo evictions so far (rows dropped to stay within the memo
-    /// bound). Zero for a batcher without a memo.
+    /// bound). Zero without a memo.
     pub memo_evictions: usize,
 }
 
 impl StageStats {
     /// The counters accumulated *since* an earlier snapshot of the same
-    /// batcher — what a periodic reporter (the serve bench, a gateway's
+    /// stage — what a periodic reporter (the serve bench, a gateway's
     /// per-scenario stats) emits instead of process-lifetime totals.
     ///
-    /// The monotone counters (`batches_run`, `rows_served`,
-    /// `service_nanos`) subtract saturating, so a mismatched or stale
-    /// `prev` (from a different batcher, or taken *after* `self`) yields
-    /// zeros rather than wrapped-around garbage. The gauges
-    /// (`queued_high_water`, `current_window`) are point-in-time readings,
-    /// not counters: the delta carries `self`'s current values unchanged.
+    /// The monotone counters subtract saturating, so a mismatched or stale
+    /// `prev` (from a different stage, or taken *after* `self`) yields
+    /// zeros rather than wrapped-around garbage. The gauge
+    /// (`queued_high_water`) is a point-in-time reading, not a counter: the
+    /// delta carries `self`'s current value unchanged.
     pub fn delta(&self, prev: &StageStats) -> StageStats {
         StageStats {
             batches_run: self.batches_run.saturating_sub(prev.batches_run),
             rows_served: self.rows_served.saturating_sub(prev.rows_served),
             queued_high_water: self.queued_high_water,
-            current_window: self.current_window,
             service_nanos: self.service_nanos.saturating_sub(prev.service_nanos),
             memo_hits: self.memo_hits.saturating_sub(prev.memo_hits),
             memo_misses: self.memo_misses.saturating_sub(prev.memo_misses),
@@ -294,113 +159,11 @@ impl StageStats {
     }
 }
 
-/// The pure widen/collapse state machine behind [`BatchPolicy::Adaptive`].
-/// Kept free of channels and clocks so the rules are unit-testable
-/// deterministically; the collector feeds it one `(drained, backlog)`
-/// observation per flush.
-#[derive(Debug)]
-struct AdaptiveController {
-    opts: AdaptiveOptions,
-    window: usize,
-}
-
-impl AdaptiveController {
-    /// Starts at the collapsed floor: an idle stage should not pay widened
-    /// latency until pressure is actually observed.
-    fn new(opts: AdaptiveOptions) -> Self {
-        let opts = opts.normalized();
-        Self {
-            window: opts.min_batch,
-            opts,
-        }
-    }
-
-    fn window(&self) -> usize {
-        self.window
-    }
-
-    /// Applies the widen/collapse rules to one flush observation:
-    /// `drained` rows left the queue, and `backlog` says whether more
-    /// requests were already waiting when the window filled.
-    fn on_flush(&mut self, drained: usize, backlog: bool) {
-        if backlog || drained > self.window {
-            self.window = self
-                .window
-                .saturating_mul(self.opts.widen_factor)
-                .min(self.opts.max_batch);
-        } else if drained.saturating_mul(self.opts.collapse_divisor) <= self.window {
-            self.window = (self.window / self.opts.widen_factor).max(self.opts.min_batch);
-        }
-    }
-}
-
-/// Errors surfaced by the submit path.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SubmitError {
-    /// The submitted row does not have the engine's input width `K`.
-    RowShape {
-        /// Engine input width.
-        expected: usize,
-        /// Submitted row length.
-        got: usize,
-    },
-    /// A submitted block is empty or not a whole number of `K`-wide rows.
-    BlockShape {
-        /// Engine input width (block length must be a non-zero multiple).
-        row_width: usize,
-        /// Submitted block length.
-        got: usize,
-    },
-    /// The batcher shut down before the request could be served.
-    Closed,
-    /// Admission control turned the request away: the serving layer's
-    /// bounded queue was already holding `queue_depth` requests, and the
-    /// shed-or-queue decision came down on shed. The caller may retry
-    /// later or fail fast — nothing was enqueued.
-    Shed {
-        /// Queue depth observed at the shed decision (the configured
-        /// bound, for a full bounded queue).
-        queue_depth: usize,
-    },
-    /// The request never reached a queue: it failed validation at the
-    /// front door (unknown tenant, model-level input rejection, …).
-    Invalid {
-        /// Human-readable rejection reason.
-        reason: String,
-    },
-}
-
-impl std::fmt::Display for SubmitError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SubmitError::RowShape { expected, got } => {
-                write!(f, "row holds {got} values, engine expects K = {expected}")
-            }
-            SubmitError::BlockShape { row_width, got } => write!(
-                f,
-                "block holds {got} values, expected a non-zero multiple of K = {row_width}"
-            ),
-            SubmitError::Closed => write!(f, "micro-batcher is shut down"),
-            SubmitError::Shed { queue_depth } => write!(
-                f,
-                "request shed by admission control (bounded queue at depth {queue_depth})"
-            ),
-            SubmitError::Invalid { reason } => write!(f, "invalid request: {reason}"),
-        }
-    }
-}
-
-impl std::error::Error for SubmitError {}
-
-/// The one error surface every serving front door above the engine speaks
-/// — whole-model sessions, decode sessions, and multi-tenant gateways all
+/// The one error surface every serving front door speaks — micro-batchers,
+/// whole-model sessions, decode sessions, and multi-tenant gateways all
 /// return `ServeError`, so callers match a single enum whether a request
-/// died at engine-level validation ([`SubmitError`], converted via
-/// `From`), at model-level validation, or in the session machinery.
-///
-/// The `Display` text is stable: the engine-level variants render exactly
-/// as their [`SubmitError`] counterparts, so log scrapers survive the
-/// unification.
+/// died at engine-level validation, at model-level validation, or in the
+/// serving machinery. The `Display` text of every variant is stable.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ServeError {
     /// The submitted row does not have the engine's input width `K`.
@@ -419,10 +182,12 @@ pub enum ServeError {
     },
     /// The serving path shut down before the request could be served.
     Closed,
-    /// Admission control turned the request away (bounded queue full);
-    /// nothing was enqueued.
+    /// Admission control turned the request away: the serving layer's
+    /// bounded queue was already holding `queue_depth` requests. The
+    /// caller may retry later or fail fast — nothing was enqueued.
     Shed {
-        /// Queue depth observed at the shed decision.
+        /// Queue depth observed at the shed decision (the configured
+        /// bound, for a full bounded queue).
         queue_depth: usize,
     },
     /// The request never reached a queue: it failed validation at the
@@ -438,18 +203,6 @@ pub enum ServeError {
     /// A handle's resolver was dropped before resolving it (a forward
     /// panicked mid-flush and unwound past the queue).
     Lost,
-}
-
-impl From<SubmitError> for ServeError {
-    fn from(e: SubmitError) -> Self {
-        match e {
-            SubmitError::RowShape { expected, got } => ServeError::RowShape { expected, got },
-            SubmitError::BlockShape { row_width, got } => ServeError::BlockShape { row_width, got },
-            SubmitError::Closed => ServeError::Closed,
-            SubmitError::Shed { queue_depth } => ServeError::Shed { queue_depth },
-            SubmitError::Invalid { reason } => ServeError::Invalid { reason },
-        }
-    }
 }
 
 impl std::fmt::Display for ServeError {
@@ -548,7 +301,7 @@ impl Pending {
     /// Mints an unresolved handle plus its resolver (for serving layers
     /// that compute outputs themselves rather than through a
     /// [`MicroBatcher`]). Dropping the resolver unresolved makes
-    /// [`Pending::wait`] report [`SubmitError::Closed`].
+    /// [`Pending::wait`] report [`ServeError::Closed`].
     pub fn channel() -> (PendingResolver, Pending) {
         let (tx, rx) = channel();
         (
@@ -561,20 +314,20 @@ impl Pending {
     }
 
     /// Blocks until the batch containing this request has run; returns the
-    /// output rows (length `rows · N`). Errors only if the batcher died
-    /// first.
-    pub fn wait(self) -> Result<Vec<f32>, SubmitError> {
+    /// output rows (length `rows · N`). Errors with [`ServeError::Closed`]
+    /// only if the resolver died first.
+    pub fn wait(self) -> Result<Vec<f32>, ServeError> {
         self.rx
             .recv()
             .map(|(rows, _)| rows)
-            .map_err(|_| SubmitError::Closed)
+            .map_err(|_| ServeError::Closed)
     }
 
     /// [`Pending::wait`] plus the request's [`ServeTiming`] — when it was
     /// submitted and when its flush resolved it. The latency a waiter
     /// would measure around `wait` includes its own scheduling delay
     /// picking the result up; the timing here is the serving path's own.
-    pub fn wait_timed(self) -> Result<(Vec<f32>, ServeTiming), SubmitError> {
+    pub fn wait_timed(self) -> Result<(Vec<f32>, ServeTiming), ServeError> {
         let submitted_at = self.submitted_at;
         self.rx
             .recv()
@@ -587,26 +340,16 @@ impl Pending {
                     },
                 )
             })
-            .map_err(|_| SubmitError::Closed)
-    }
-
-    /// Blocks until this request resolves, then moves the resolved block
-    /// straight into `next`'s queue — the buffer never surfaces to (or is
-    /// copied by) the caller. Returns the next stage's handle, so
-    /// multi-stage chains over per-layer sessions compose as
-    /// `submit(...)?.forward(&s2)?.forward(&s3)?.wait()`.
-    pub fn forward(self, next: &MicroBatcher) -> Result<Pending, SubmitError> {
-        let rows = self.wait()?;
-        next.submit_owned(rows)
+            .map_err(|_| ServeError::Closed)
     }
 
     /// Blocks until this request resolves, then resolves `next` with the
     /// same rows **and the same resolution stamp** — the step-granular
-    /// relay a serving layer uses when it waits on an inner handle (a
-    /// stage batcher, a shared model session) while owning an outer handle
-    /// of its own: the outer waiter's [`ServeTiming`] then reports when
-    /// the work actually finished, not when the relay got scheduled.
-    /// Propagates [`ServeError::Closed`] if the inner resolver died first.
+    /// relay a serving layer uses when it waits on an inner handle while
+    /// owning an outer handle of its own: the outer waiter's
+    /// [`ServeTiming`] then reports when the work actually finished, not
+    /// when the relay got scheduled. Propagates [`ServeError::Closed`] if
+    /// the inner resolver died first.
     pub fn chain(self, next: PendingResolver) -> Result<(), ServeError> {
         let (rows, timing) = self.wait_timed()?;
         next.resolve_at(rows, timing.resolved_at);
@@ -615,15 +358,99 @@ impl Pending {
 
     /// Non-blocking poll: `Ok(Some(row))` once the batch has run,
     /// `Ok(None)` while it has not flushed yet, and
-    /// `Err(`[`SubmitError::Closed`]`)` if the batcher died first — so a
+    /// `Err(`[`ServeError::Closed`]`)` if the resolver died first — so a
     /// poll loop observes the same terminal condition [`Pending::wait`]
     /// reports instead of spinning forever.
-    pub fn try_wait(&self) -> Result<Option<Vec<f32>>, SubmitError> {
+    pub fn try_wait(&self) -> Result<Option<Vec<f32>>, ServeError> {
         match self.rx.try_recv() {
             Ok((row, _)) => Ok(Some(row)),
-            Err(std::sync::mpsc::TryRecvError::Empty) => Ok(None),
-            Err(std::sync::mpsc::TryRecvError::Disconnected) => Err(SubmitError::Closed),
+            Err(TryRecvError::Empty) => Ok(None),
+            Err(TryRecvError::Disconnected) => Err(ServeError::Closed),
         }
+    }
+}
+
+/// One engine plus the counters of every call made through it: the seam a
+/// deployed LUT layer's eval forward and a [`MicroBatcher`] flush both run
+/// their engine calls through. See the module docs.
+pub struct EngineStage {
+    engine: SharedEngine,
+    memo: Option<Arc<EncodeMemo>>,
+    calls: AtomicUsize,
+    rows: AtomicUsize,
+    widest: AtomicUsize,
+    service_nanos: AtomicU64,
+}
+
+impl EngineStage {
+    /// A stage over `engine`. With a `memo`, every call goes through
+    /// [`LutEngine::run_batch_memo`], so rows this stage has already seen
+    /// skip the similarity walk; the memo's hit/miss/evict counters
+    /// surface in [`EngineStage::stats`].
+    pub fn new(engine: SharedEngine, memo: Option<Arc<EncodeMemo>>) -> Self {
+        Self {
+            engine,
+            memo,
+            calls: AtomicUsize::new(0),
+            rows: AtomicUsize::new(0),
+            widest: AtomicUsize::new(0),
+            service_nanos: AtomicU64::new(0),
+        }
+    }
+
+    /// Runs `x: [M, K]` through the engine on the caller's thread and
+    /// records the call. Bit-identical to `run_batch(x)` on the engine.
+    pub fn run(&self, x: &Tensor) -> Tensor {
+        self.run_stamped(x).0
+    }
+
+    /// [`EngineStage::run`] plus the instant the engine call finished, so
+    /// a batcher flush resolves its handles with the same clock read that
+    /// closed the service interval (two clock reads per call).
+    fn run_stamped(&self, x: &Tensor) -> (Tensor, Instant) {
+        let m = x.dims()[0];
+        let start = Instant::now();
+        let y = match self.memo.as_deref() {
+            Some(memo) => lock_engine(&self.engine).run_batch_memo(x, memo),
+            None => lock_engine(&self.engine).run_batch(x),
+        };
+        let end = Instant::now();
+        self.service_nanos.fetch_add(
+            end.duration_since(start).as_nanos() as u64,
+            Ordering::Release,
+        );
+        self.calls.fetch_add(1, Ordering::Release);
+        self.rows.fetch_add(m, Ordering::Release);
+        self.widest.fetch_max(m, Ordering::AcqRel);
+        (y, end)
+    }
+
+    /// The engine this stage runs on.
+    pub fn engine(&self) -> &SharedEngine {
+        &self.engine
+    }
+
+    /// Snapshot of this stage's counters.
+    pub fn stats(&self) -> StageStats {
+        let memo = self.memo.as_ref().map(|m| m.stats()).unwrap_or_default();
+        StageStats {
+            batches_run: self.calls.load(Ordering::Acquire),
+            rows_served: self.rows.load(Ordering::Acquire),
+            queued_high_water: self.widest.load(Ordering::Acquire),
+            service_nanos: self.service_nanos.load(Ordering::Acquire),
+            memo_hits: memo.hits as usize,
+            memo_misses: memo.misses as usize,
+            memo_evictions: memo.evictions as usize,
+        }
+    }
+}
+
+impl std::fmt::Debug for EngineStage {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("EngineStage")
+            .field("stats", &self.stats())
+            .field("memo", &self.memo.is_some())
+            .finish()
     }
 }
 
@@ -636,101 +463,62 @@ struct Request {
     done: Sender<(Vec<f32>, Instant)>,
 }
 
-/// The collector's shared counter block (one allocation, shared between
-/// the batcher handle and the collector thread).
-struct Counters {
-    batches: AtomicUsize,
-    rows: AtomicUsize,
-    high_water: AtomicUsize,
-    window: AtomicUsize,
-    service_nanos: AtomicU64,
-}
-
-impl Counters {
-    fn new(initial_window: usize) -> Self {
-        Self {
-            batches: AtomicUsize::new(0),
-            rows: AtomicUsize::new(0),
-            high_water: AtomicUsize::new(0),
-            window: AtomicUsize::new(initial_window),
-            service_nanos: AtomicU64::new(0),
-        }
-    }
-}
-
-/// The serving front door over one [`SharedEngine`]. See the module docs.
+/// The single-layer serving front door over one [`SharedEngine`]. See the
+/// module docs.
 pub struct MicroBatcher {
     tx: Option<Sender<Request>>,
     collector: Option<JoinHandle<()>>,
     k: usize,
     n: usize,
-    counters: Arc<Counters>,
-    memo: Option<Arc<EncodeMemo>>,
+    window: usize,
+    stage: Arc<EngineStage>,
 }
 
 impl MicroBatcher {
-    /// Spawns the collector thread for `engine` with a fixed coalescing
+    /// Spawns the collector thread for `engine` with the given coalescing
     /// window. `opts` is normalized first ([`BatchOptions::normalized`]):
     /// `max_batch == 0` is served as a window of 1.
     pub fn new(engine: SharedEngine, opts: BatchOptions) -> Self {
-        Self::with_policy(engine, BatchPolicy::Static(opts))
+        Self::with_memo(engine, opts, None)
     }
 
-    /// Spawns the collector thread for `engine` with the given
-    /// [`BatchPolicy`] (normalized first). [`BatchPolicy::Adaptive`] makes
-    /// this batcher's window track queue pressure independently of any
-    /// other batcher's.
-    pub fn with_policy(engine: SharedEngine, policy: BatchPolicy) -> Self {
-        Self::with_policy_memo(engine, policy, None)
-    }
-
-    /// [`MicroBatcher::with_policy`] with a cross-request [`EncodeMemo`]
-    /// fronting the engine's encode phase: every flush goes through
-    /// [`LutEngine::run_batch_memo`], so rows this stage has already seen
-    /// skip the similarity walk. Sharing one memo `Arc` across stages that
-    /// serve the same codebook shares the hit pool too; the memo's
-    /// hit/miss/evict counters surface in [`MicroBatcher::stats`].
-    pub fn with_policy_memo(
+    /// [`MicroBatcher::new`] with a cross-request [`EncodeMemo`] fronting
+    /// the engine's encode phase (see [`EngineStage::new`]).
+    pub fn with_memo(
         engine: SharedEngine,
-        policy: BatchPolicy,
+        opts: BatchOptions,
         memo: Option<Arc<EncodeMemo>>,
     ) -> Self {
-        let policy = policy.normalized();
+        let opts = opts.normalized();
         let (k, n) = {
             let e = lock_engine(&engine);
             (e.input_dim(), e.output_dim())
         };
+        let stage = Arc::new(EngineStage::new(engine, memo));
         let (tx, rx) = channel::<Request>();
-        let initial_window = match policy {
-            BatchPolicy::Static(o) => o.max_batch,
-            // The adaptive controller starts at the collapsed floor.
-            BatchPolicy::Adaptive(o) => o.min_batch,
-        };
-        let counters = Arc::new(Counters::new(initial_window));
-        let shared = Arc::clone(&counters);
-        let collector_memo = memo.clone();
+        let collector_stage = Arc::clone(&stage);
         let collector = std::thread::Builder::new()
             .name("lutdla-microbatch".to_string())
-            .spawn(move || collect_loop(engine, rx, policy, k, n, &shared, collector_memo))
+            .spawn(move || collect_loop(&collector_stage, &rx, opts, k, n))
             // If the OS refuses the collector thread the batcher is born
             // closed: `tx` is dropped, so every submit reports
-            // `SubmitError::Closed` instead of panicking the caller.
+            // `ServeError::Closed` instead of panicking the caller.
             .ok();
         Self {
             tx: collector.is_some().then_some(tx),
             collector,
             k,
             n,
-            counters,
-            memo,
+            window: opts.max_batch,
+            stage,
         }
     }
 
     /// Submits one activation row (length `K`); returns a handle that
     /// resolves with the output row (length `N`) once its batch has run.
-    pub fn submit(&self, row: &[f32]) -> Result<Pending, SubmitError> {
+    pub fn submit(&self, row: &[f32]) -> Result<Pending, ServeError> {
         if row.len() != self.k {
-            return Err(SubmitError::RowShape {
+            return Err(ServeError::RowShape {
                 expected: self.k,
                 got: row.len(),
             });
@@ -741,37 +529,25 @@ impl MicroBatcher {
     /// Submits a block of rows (`rows.len()` must be a non-zero multiple of
     /// `K`) as **one** request; the handle resolves with the whole output
     /// block (`nrows · N` values) once a batch containing it has run.
-    ///
-    /// This is the stage entry point of a model pipeline: an upstream
-    /// layer's full activation block joins the batcher in a single send,
-    /// coalescing with whatever other blocks or single rows are queued.
-    pub fn submit_rows(&self, rows: &[f32]) -> Result<Pending, SubmitError> {
-        self.submit_owned(rows.to_vec())
-    }
-
-    /// [`MicroBatcher::submit_rows`] taking ownership of the buffer, so
-    /// chained stages ([`Pending::forward`]) move blocks between batchers
-    /// without copying.
-    pub fn submit_owned(&self, rows: Vec<f32>) -> Result<Pending, SubmitError> {
+    pub fn submit_rows(&self, rows: &[f32]) -> Result<Pending, ServeError> {
         if rows.is_empty() || !rows.len().is_multiple_of(self.k) {
-            return Err(SubmitError::BlockShape {
+            return Err(ServeError::BlockShape {
                 row_width: self.k,
                 got: rows.len(),
             });
         }
-        let nrows = rows.len() / self.k;
-        self.send(rows, nrows)
+        self.send(rows.to_vec(), rows.len() / self.k)
     }
 
-    fn send(&self, rows: Vec<f32>, nrows: usize) -> Result<Pending, SubmitError> {
+    fn send(&self, rows: Vec<f32>, nrows: usize) -> Result<Pending, ServeError> {
         let (done, rx) = channel();
         let submitted_at = Instant::now();
         // `tx` is None only after drop took it or when the collector never
         // spawned — both are "this batcher no longer serves", not a bug in
         // the caller, so they surface as `Closed` rather than a panic.
-        let tx = self.tx.as_ref().ok_or(SubmitError::Closed)?;
+        let tx = self.tx.as_ref().ok_or(ServeError::Closed)?;
         tx.send(Request { rows, nrows, done })
-            .map_err(|_| SubmitError::Closed)?;
+            .map_err(|_| ServeError::Closed)?;
         Ok(Pending { rx, submitted_at })
     }
 
@@ -787,33 +563,22 @@ impl MicroBatcher {
 
     /// How many coalesced batches have run so far.
     pub fn batches_run(&self) -> usize {
-        self.counters.batches.load(Ordering::Acquire)
+        self.stage.stats().batches_run
     }
 
     /// How many rows have been served so far.
     pub fn rows_served(&self) -> usize {
-        self.counters.rows.load(Ordering::Acquire)
+        self.stage.stats().rows_served
     }
 
-    /// The current flush window, in rows: the static `max_batch`, or
-    /// wherever the adaptive controller last converged.
+    /// The flush window, in rows (the normalized `max_batch`).
     pub fn current_window(&self) -> usize {
-        self.counters.window.load(Ordering::Acquire)
+        self.window
     }
 
     /// Snapshot of this batcher's serving counters.
     pub fn stats(&self) -> StageStats {
-        let memo = self.memo.as_ref().map(|m| m.stats()).unwrap_or_default();
-        StageStats {
-            batches_run: self.batches_run(),
-            rows_served: self.rows_served(),
-            queued_high_water: self.counters.high_water.load(Ordering::Acquire),
-            current_window: self.current_window(),
-            service_nanos: self.counters.service_nanos.load(Ordering::Acquire),
-            memo_hits: memo.hits as usize,
-            memo_misses: memo.misses as usize,
-            memo_evictions: memo.evictions as usize,
-        }
+        self.stage.stats()
     }
 }
 
@@ -833,39 +598,19 @@ impl std::fmt::Debug for MicroBatcher {
         f.debug_struct("MicroBatcher")
             .field("k", &self.k)
             .field("n", &self.n)
-            .field("batches_run", &self.batches_run())
-            .field("rows_served", &self.rows_served())
-            .field("window", &self.current_window())
+            .field("window", &self.window)
+            .field("stage", &self.stage)
             .finish()
     }
 }
 
+/// The collector loop (`opts` already normalized, so `max_batch >= 1`).
 fn collect_loop(
-    engine: SharedEngine,
-    rx: Receiver<Request>,
-    policy: BatchPolicy,
-    k: usize,
-    n: usize,
-    counters: &Counters,
-    memo: Option<Arc<EncodeMemo>>,
-) {
-    let memo = memo.as_deref();
-    match policy {
-        BatchPolicy::Static(opts) => static_loop(&engine, &rx, opts, k, n, counters, memo),
-        BatchPolicy::Adaptive(opts) => adaptive_loop(&engine, &rx, opts, k, n, counters, memo),
-    }
-}
-
-/// The pinned-window collector (`policy` already normalized, so
-/// `max_batch >= 1`).
-fn static_loop(
-    engine: &SharedEngine,
+    stage: &EngineStage,
     rx: &Receiver<Request>,
     opts: BatchOptions,
     k: usize,
     n: usize,
-    counters: &Counters,
-    memo: Option<&EncodeMemo>,
 ) {
     let max_rows = opts.max_batch;
     let mut open = true;
@@ -879,7 +624,7 @@ fn static_loop(
         let mut pending = vec![first];
         // Grow the batch — but only if the first request left room. A full
         // first request (always true for `max_batch == 1`) flushes without
-        // ever consulting the clock, and a zero-delay policy drains only
+        // ever consulting the clock, and a zero-delay window drains only
         // what is already queued: both degenerate cases serve immediately,
         // with no deadline sleeps.
         if queued < max_rows && opts.max_delay.is_zero() {
@@ -887,62 +632,7 @@ fn static_loop(
         } else if queued < max_rows {
             open = wait_for_window(rx, &mut pending, &mut queued, max_rows, opts.max_delay);
         }
-        flush(engine, pending, k, n, counters, memo);
-    }
-}
-
-/// The pressure-driven collector: the flush window follows the
-/// [`AdaptiveController`], and partial batches wait at most the SLO.
-fn adaptive_loop(
-    engine: &SharedEngine,
-    rx: &Receiver<Request>,
-    opts: AdaptiveOptions,
-    k: usize,
-    n: usize,
-    counters: &Counters,
-    memo: Option<&EncodeMemo>,
-) {
-    // `Counters::new` already seeded the window with the controller's
-    // starting point (the collapsed floor).
-    let mut ctl = AdaptiveController::new(opts);
-    let mut open = true;
-    while open {
-        let first = match rx.recv() {
-            Ok(req) => req,
-            Err(_) => break,
-        };
-        let window = ctl.window();
-        let mut queued = first.nrows;
-        let mut pending = vec![first];
-        // Fill up to the current window: drain-only when the SLO is zero,
-        // otherwise sleep at most `slo` past the first arrival — the
-        // deadline is the policy's, not a constant's.
-        if queued < window && opts.slo.is_zero() {
-            open = drain_queued(rx, &mut pending, &mut queued, window);
-        } else if queued < window {
-            open = wait_for_window(rx, &mut pending, &mut queued, window, opts.slo);
-        }
-        // Queue-depth probe: a request already waiting once the window
-        // filled is backlog pressure. It joins this batch (it is queued
-        // anyway) and the controller widens.
-        let mut backlog = false;
-        if open && queued >= window {
-            match rx.try_recv() {
-                Ok(req) => {
-                    queued += req.nrows;
-                    pending.push(req);
-                    backlog = true;
-                }
-                Err(TryRecvError::Empty) => {}
-                Err(TryRecvError::Disconnected) => open = false,
-            }
-        }
-        // The controller only needs the (queued, backlog) observation, so
-        // step it *before* the flush resolves any handle: a caller whose
-        // `wait` returned always observes the post-flush window.
-        ctl.on_flush(queued, backlog);
-        counters.window.store(ctl.window(), Ordering::Release);
-        flush(engine, pending, k, n, counters, memo);
+        flush(stage, pending, queued, k, n);
     }
 }
 
@@ -996,38 +686,15 @@ fn wait_for_window(
     true
 }
 
-/// Runs one coalesced batch and resolves every caller's handle with its own
-/// slice of the output.
-fn flush(
-    engine: &SharedEngine,
-    pending: Vec<Request>,
-    k: usize,
-    n: usize,
-    counters: &Counters,
-    memo: Option<&EncodeMemo>,
-) {
-    let m: usize = pending.iter().map(|r| r.nrows).sum();
+/// Runs one coalesced batch of `m` rows through the stage and resolves
+/// every caller's handle with its own slice of the output, stamped with
+/// the instant the engine call finished.
+fn flush(stage: &EngineStage, pending: Vec<Request>, m: usize, k: usize, n: usize) {
     let mut data = Vec::with_capacity(m * k);
     for req in &pending {
         data.extend_from_slice(&req.rows);
     }
-    let x = Tensor::from_vec(data, &[m, k]);
-    // Two clock reads per *batch* (not per request): the engine service
-    // time feeds `StageStats::service_nanos`, and the same end stamp
-    // resolves every handle's `ServeTiming`.
-    let service_start = Instant::now();
-    let y = match memo {
-        Some(memo) => lock_engine(engine).run_batch_memo(&x, memo),
-        None => lock_engine(engine).run_batch(&x),
-    };
-    let resolved_at = Instant::now();
-    counters.service_nanos.fetch_add(
-        resolved_at.duration_since(service_start).as_nanos() as u64,
-        Ordering::Release,
-    );
-    counters.batches.fetch_add(1, Ordering::Release);
-    counters.rows.fetch_add(m, Ordering::Release);
-    counters.high_water.fetch_max(m, Ordering::AcqRel);
+    let (y, resolved_at) = stage.run_stamped(&Tensor::from_vec(data, &[m, k]));
     let mut row0 = 0;
     for req in pending {
         // A dropped Pending is fine — the caller lost interest.
@@ -1227,7 +894,7 @@ mod tests {
         let pending = batcher.submit(&a.data()[..k]).expect("valid row");
         // Polling before the deadline flush usually sees "not ready" —
         // and must never see Closed while the batcher lives.
-        assert!(!matches!(pending.try_wait(), Err(SubmitError::Closed)));
+        assert!(!matches!(pending.try_wait(), Err(ServeError::Closed)));
         // Dropping the batcher flushes outstanding rows, so the handle
         // resolves with data …
         drop(batcher);
@@ -1241,7 +908,7 @@ mod tests {
         assert_eq!(served.len(), 9);
         // … and a handle drained after resolution reports Closed, not an
         // eternal Ok(None).
-        assert_eq!(pending.try_wait(), Err(SubmitError::Closed));
+        assert_eq!(pending.try_wait(), Err(ServeError::Closed));
     }
 
     #[test]
@@ -1321,36 +988,6 @@ mod tests {
     }
 
     #[test]
-    fn forward_chains_stage_outputs_into_the_next_batcher() {
-        // Stage 1: K=10 → N=9; stage 2 consumes 9-wide rows. A block
-        // submitted to stage 1 and forwarded must match running the two
-        // engines back to back by hand.
-        let (a, engine1, mid) = setup(LutQuant::F32, FloatPrecision::Fp32, 73);
-        let (k2, n2, v2, c2) = (9usize, 7usize, 3usize, 8usize);
-        let mut rng = StdRng::seed_from_u64(74);
-        let b2 = Tensor::rand_uniform(&mut rng, &[k2, n2], -1.0, 1.0);
-        let pq2 = ProductQuantizer::fit(&mid, v2, c2, Distance::L2, &mut rng);
-        let table2 = LutTable::build(&pq2, &b2, LutQuant::F32);
-        let mut engine2 = LutEngine::new(pq2, &table2);
-        let expected = engine2.run_batch(&mid);
-
-        let stage1 = MicroBatcher::new(share(engine1), BatchOptions::immediate(64));
-        let stage2 = MicroBatcher::new(share(engine2), BatchOptions::immediate(64));
-        let rows = 6;
-        let k = a.dims()[1];
-        let out = stage1
-            .submit_rows(&a.data()[..rows * k])
-            .expect("stage-1 block")
-            .forward(&stage2)
-            .expect("stage-2 block")
-            .wait()
-            .expect("pipeline alive");
-        assert_eq!(out.as_slice(), &expected.data()[..rows * n2]);
-        assert_eq!(stage1.rows_served(), rows);
-        assert_eq!(stage2.rows_served(), rows);
-    }
-
-    #[test]
     fn malformed_blocks_are_rejected_immediately() {
         let (_, engine, _) = setup(LutQuant::F32, FloatPrecision::Fp32, 75);
         let batcher = MicroBatcher::new(share(engine), BatchOptions::default());
@@ -1358,7 +995,7 @@ mod tests {
         let err = batcher.submit_rows(&[0.0; 15]).expect_err("ragged block");
         assert_eq!(
             err,
-            SubmitError::BlockShape {
+            ServeError::BlockShape {
                 row_width: 10,
                 got: 15
             }
@@ -1366,7 +1003,7 @@ mod tests {
         let err = batcher.submit_rows(&[]).expect_err("empty block");
         assert_eq!(
             err,
-            SubmitError::BlockShape {
+            ServeError::BlockShape {
                 row_width: 10,
                 got: 0
             }
@@ -1422,7 +1059,7 @@ mod tests {
         // A resolver dropped unresolved surfaces Closed, not a hang.
         let (resolver, pending) = Pending::channel();
         drop(resolver);
-        assert_eq!(pending.wait(), Err(SubmitError::Closed));
+        assert_eq!(pending.wait(), Err(ServeError::Closed));
     }
 
     #[test]
@@ -1438,17 +1075,6 @@ mod tests {
             .max_batch,
             1
         );
-        let norm = AdaptiveOptions {
-            min_batch: 0,
-            max_batch: 0,
-            slo: Duration::ZERO,
-            widen_factor: 0,
-            collapse_divisor: 1,
-        }
-        .normalized();
-        assert_eq!((norm.min_batch, norm.max_batch), (1, 1));
-        assert_eq!((norm.widen_factor, norm.collapse_divisor), (2, 2));
-
         // A zero-window batcher serves as a window of 1 — and says so.
         let (a, engine, reference) = setup(LutQuant::F32, FloatPrecision::Fp32, 80);
         let k = a.dims()[1];
@@ -1461,7 +1087,7 @@ mod tests {
                 max_delay: Duration::from_secs(600),
             },
         );
-        assert_eq!(batcher.stats().current_window, 1);
+        assert_eq!(batcher.current_window(), 1);
         let out = batcher
             .submit(&a.data()[..k])
             .expect("valid row")
@@ -1472,206 +1098,11 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_controller_rules_are_deterministic() {
-        let mut ctl = AdaptiveController::new(AdaptiveOptions::drain_only(1, 16));
-        assert_eq!(ctl.window(), 1, "starts at the collapsed floor");
-        // Backlog widens geometrically to the cap.
-        for expect in [2, 4, 8, 16, 16] {
-            ctl.on_flush(ctl.window(), true);
-            assert_eq!(ctl.window(), expect);
-        }
-        // A block overflowing the window widens too, without backlog.
-        let mut ctl = AdaptiveController::new(AdaptiveOptions::drain_only(1, 16));
-        ctl.on_flush(9, false);
-        assert_eq!(ctl.window(), 2);
-        // A well-filled flush (more than 1/collapse_divisor) holds steady.
-        let mut ctl = AdaptiveController::new(AdaptiveOptions::drain_only(2, 16));
-        ctl.on_flush(16, true);
-        ctl.on_flush(16, true);
-        ctl.on_flush(16, true);
-        assert_eq!(ctl.window(), 16);
-        ctl.on_flush(9, false);
-        assert_eq!(ctl.window(), 16, "9 of 16 is above the collapse line");
-        // Under-filled flushes collapse back down to the floor, where an
-        // idle single-row stream is a fixed point (no oscillation).
-        for expect in [8, 4, 2, 2] {
-            ctl.on_flush(1, false);
-            assert_eq!(ctl.window(), expect);
-        }
-        ctl.on_flush(2, false);
-        assert_eq!(ctl.window(), 2, "floor is stable under lone requests");
-    }
-
-    #[test]
-    fn adaptive_window_widens_on_block_load_and_collapses_when_idle() {
-        let (a, engine, reference) = setup(LutQuant::F32, FloatPrecision::Fp32, 81);
-        let (m, k) = (a.dims()[0], a.dims()[1]);
-        let n = reference.dims()[1];
-        let batcher = MicroBatcher::with_policy(
-            share(engine),
-            BatchPolicy::Adaptive(AdaptiveOptions::drain_only(1, 32)),
-        );
-        assert_eq!(batcher.stats().current_window, 1);
-        // Sustained block load: every flush drains a whole 24-row block —
-        // overflow pressure — so the window doubles per flush up to the cap.
-        // Submit-and-wait keeps exactly one flush per block: deterministic.
-        for (i, expect) in [2usize, 4, 8, 16, 32, 32].into_iter().enumerate() {
-            let out = batcher
-                .submit_rows(a.data())
-                .expect("block")
-                .wait()
-                .expect("batcher alive");
-            assert_eq!(out.as_slice(), reference.data(), "block {i} diverged");
-            assert_eq!(
-                batcher.stats().current_window,
-                expect,
-                "window after block {i}"
-            );
-        }
-        let widened = batcher.stats();
-        assert_eq!(widened.queued_high_water, m);
-        assert_eq!(widened.rows_served, 6 * m);
-        // Idle traffic: lone rows under-fill the widened window, so it
-        // halves per flush back down to the floor and stays there.
-        for (i, expect) in [16usize, 8, 4, 2, 1, 1, 1].into_iter().enumerate() {
-            let out = batcher
-                .submit(&a.data()[..k])
-                .expect("valid row")
-                .wait()
-                .expect("batcher alive");
-            assert_eq!(out.as_slice(), &reference.data()[..n]);
-            assert_eq!(
-                batcher.stats().current_window,
-                expect,
-                "window after row {i}"
-            );
-        }
-    }
-
-    #[test]
-    fn adaptive_window_widens_under_sustained_concurrent_load() {
-        let (a, engine, reference) = setup(LutQuant::F32, FloatPrecision::Fp32, 82);
-        let batcher = MicroBatcher::with_policy(
-            share(engine),
-            BatchPolicy::Adaptive(AdaptiveOptions::drain_only(1, 16)),
-        );
-        // 3 submitters × 3 whole-batch blocks: every flush drains at least
-        // one 24-row block, which overflows any window below the 16-row cap
-        // — so whatever the interleaving, the window converges to the cap.
-        std::thread::scope(|s| {
-            for _ in 0..3 {
-                let batcher = &batcher;
-                let a = &a;
-                let reference = &reference;
-                s.spawn(move || {
-                    for _ in 0..3 {
-                        let out = batcher
-                            .submit_rows(a.data())
-                            .expect("block")
-                            .wait()
-                            .expect("batcher alive");
-                        assert_eq!(out.as_slice(), reference.data());
-                    }
-                });
-            }
-        });
-        let stats = batcher.stats();
-        assert_eq!(
-            stats.current_window, 16,
-            "sustained concurrent load must widen to the cap: {stats:?}"
-        );
-        assert_eq!(stats.rows_served, 9 * a.dims()[0]);
-        assert!(stats.queued_high_water >= a.dims()[0]);
-    }
-
-    #[test]
-    fn adaptive_slo_flushes_partial_batches_and_is_policy_driven() {
-        let (a, engine, reference) = setup(LutQuant::F32, FloatPrecision::Fp32, 83);
-        let k = a.dims()[1];
-        let n = reference.dims()[1];
-        let batcher = MicroBatcher::with_policy(
-            share(engine),
-            BatchPolicy::Adaptive(AdaptiveOptions {
-                min_batch: 1,
-                max_batch: 8,
-                slo: Duration::from_millis(20),
-                ..AdaptiveOptions::default()
-            }),
-        );
-        // Widen to the cap with whole-block pressure (a full first request
-        // never consults the clock, SLO or not).
-        for expect in [2usize, 4, 8] {
-            batcher
-                .submit_rows(a.data())
-                .expect("block")
-                .wait()
-                .expect("batcher alive");
-            assert_eq!(batcher.stats().current_window, expect);
-        }
-        // A lone row cannot fill the widened 8-row window: only the SLO
-        // deadline can flush it. The handle must resolve (with the right
-        // row), and the under-filled flush must collapse the window.
-        let out = batcher
-            .submit(&a.data()[..k])
-            .expect("valid row")
-            .wait()
-            .expect("SLO flush must resolve the handle");
-        assert_eq!(out.as_slice(), &reference.data()[..n]);
-        assert_eq!(batcher.stats().current_window, 4, "1 of 8 must collapse");
-    }
-
-    #[test]
-    fn adaptive_policy_bit_identical_across_all_quant_precision_combos() {
-        let quants = [LutQuant::F32, LutQuant::F16, LutQuant::Int8];
-        let precisions = [
-            FloatPrecision::Fp32,
-            FloatPrecision::Bf16,
-            FloatPrecision::Fp16,
-        ];
-        for (qi, &quant) in quants.iter().enumerate() {
-            for (pi, &precision) in precisions.iter().enumerate() {
-                let (a, engine, reference) = setup(quant, precision, 84 + (qi * 3 + pi) as u64);
-                let (m, k) = (a.dims()[0], a.dims()[1]);
-                let n = reference.dims()[1];
-                let batcher = MicroBatcher::with_policy(
-                    share(engine),
-                    BatchPolicy::Adaptive(AdaptiveOptions::drain_only(1, m)),
-                );
-                // Concurrent single-row submitters: rows coalesce into
-                // whatever windows the controller is at — the outputs must
-                // not care.
-                let mut outs = vec![Vec::new(); m];
-                std::thread::scope(|s| {
-                    for (i, out) in outs.iter_mut().enumerate() {
-                        let batcher = &batcher;
-                        let a = &a;
-                        s.spawn(move || {
-                            *out = batcher
-                                .submit(&a.data()[i * k..(i + 1) * k])
-                                .expect("valid row")
-                                .wait()
-                                .expect("batcher alive");
-                        });
-                    }
-                });
-                for (i, out) in outs.iter().enumerate() {
-                    assert_eq!(
-                        out.as_slice(),
-                        &reference.data()[i * n..(i + 1) * n],
-                        "{quant:?}+{precision:?}: row {i} not bit-identical under adaptive policy"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
     fn stage_stats_delta_subtracts_counters_and_carries_gauges() {
         let prev = StageStats {
             batches_run: 10,
             rows_served: 400,
             queued_high_water: 32,
-            current_window: 16,
             service_nanos: 9_000,
             memo_hits: 100,
             memo_misses: 40,
@@ -1681,7 +1112,6 @@ mod tests {
             batches_run: 13,
             rows_served: 460,
             queued_high_water: 48,
-            current_window: 8,
             service_nanos: 12_500,
             memo_hits: 160,
             memo_misses: 55,
@@ -1695,9 +1125,8 @@ mod tests {
         assert_eq!(d.memo_hits, 60);
         assert_eq!(d.memo_misses, 15);
         assert_eq!(d.memo_evictions, 4);
-        // Gauges: the latest point-in-time readings, not a subtraction.
+        // The gauge: the latest point-in-time reading, not a subtraction.
         assert_eq!(d.queued_high_water, 48);
-        assert_eq!(d.current_window, 8);
         // A snapshot differenced against itself is all-zero counters.
         let z = now.delta(&now);
         assert_eq!((z.batches_run, z.rows_served, z.service_nanos), (0, 0, 0));
@@ -1711,7 +1140,6 @@ mod tests {
             batches_run: 2,
             rows_served: 50,
             queued_high_water: 8,
-            current_window: 4,
             service_nanos: 1_000,
             memo_hits: 10,
             memo_misses: 5,
@@ -1721,7 +1149,6 @@ mod tests {
             batches_run: 7,
             rows_served: 300,
             queued_high_water: 24,
-            current_window: 16,
             service_nanos: 8_000,
             memo_hits: 90,
             memo_misses: 30,
@@ -1737,7 +1164,6 @@ mod tests {
             "memo counters must saturate like the other counters"
         );
         assert_eq!(d.queued_high_water, 8, "gauge must come from self");
-        assert_eq!(d.current_window, 4, "gauge must come from self");
     }
 
     #[test]
@@ -1769,9 +1195,9 @@ mod tests {
         // Capacity of `8 * m` rows means even a fully skewed shard
         // distribution cannot evict (each shard holds `m`).
         let memo = Arc::new(EncodeMemo::new(8 * m));
-        let batcher = MicroBatcher::with_policy_memo(
+        let batcher = MicroBatcher::with_memo(
             share(engine),
-            BatchPolicy::Static(BatchOptions::immediate(8)),
+            BatchOptions::immediate(8),
             Some(Arc::clone(&memo)),
         );
         // Two passes over the same block: the first is all misses, the
@@ -1816,36 +1242,36 @@ mod tests {
 
     #[test]
     fn shed_and_invalid_errors_format_their_context() {
-        let shed = SubmitError::Shed { queue_depth: 16 };
+        let shed = ServeError::Shed { queue_depth: 16 };
         assert_eq!(
             shed.to_string(),
             "request shed by admission control (bounded queue at depth 16)"
         );
-        let invalid = SubmitError::Invalid {
+        let invalid = ServeError::Invalid {
             reason: "unknown tenant id 7".to_string(),
         };
         assert_eq!(invalid.to_string(), "invalid request: unknown tenant id 7");
         // Structured matching stays available to retry logic.
-        assert!(matches!(shed, SubmitError::Shed { queue_depth: 16 }));
-        // The unified ServeError renders engine-level variants with the
-        // exact same stable text — conversion never rewrites messages.
-        for e in [
-            SubmitError::RowShape {
+        assert!(matches!(shed, ServeError::Shed { queue_depth: 16 }));
+        // The engine-level variants keep their stable text too.
+        assert_eq!(
+            ServeError::RowShape {
                 expected: 8,
                 got: 3,
-            },
-            SubmitError::BlockShape {
+            }
+            .to_string(),
+            "row holds 3 values, engine expects K = 8"
+        );
+        assert_eq!(
+            ServeError::BlockShape {
                 row_width: 8,
                 got: 12,
-            },
-            SubmitError::Closed,
-            shed,
-            invalid,
-        ] {
-            let text = e.to_string();
-            assert_eq!(ServeError::from(e).to_string(), text);
-        }
-        // And the session-level variants have their own stable text.
+            }
+            .to_string(),
+            "block holds 12 values, expected a non-zero multiple of K = 8"
+        );
+        assert_eq!(ServeError::Closed.to_string(), "micro-batcher is shut down");
+        // And the session-level variants.
         assert_eq!(
             ServeError::InvalidInput("token 99 outside vocab".to_string()).to_string(),
             "invalid input: token 99 outside vocab"
@@ -1878,7 +1304,7 @@ mod tests {
         drop(dead);
         let (outer_resolver, outer) = Pending::channel();
         assert_eq!(never.chain(outer_resolver), Err(ServeError::Closed));
-        assert_eq!(outer.wait(), Err(SubmitError::Closed));
+        assert_eq!(outer.wait(), Err(ServeError::Closed));
     }
 
     #[test]
@@ -1888,10 +1314,58 @@ mod tests {
         let err = batcher.submit(&[1.0, 2.0]).expect_err("short row");
         assert_eq!(
             err,
-            SubmitError::RowShape {
+            ServeError::RowShape {
                 expected: 10,
                 got: 2
             }
         );
+    }
+
+    #[test]
+    fn engine_stage_runs_bit_identical_across_all_combos_and_accounts_calls() {
+        let quants = [LutQuant::F32, LutQuant::F16, LutQuant::Int8];
+        let precisions = [
+            FloatPrecision::Fp32,
+            FloatPrecision::Bf16,
+            FloatPrecision::Fp16,
+        ];
+        for (qi, &quant) in quants.iter().enumerate() {
+            for (pi, &precision) in precisions.iter().enumerate() {
+                let (a, engine, reference) = setup(quant, precision, 93 + (qi * 3 + pi) as u64);
+                let m = a.dims()[0];
+                let stage = EngineStage::new(share(engine), None);
+                assert_eq!(stage.stats(), StageStats::default());
+                let whole = stage.run(&a);
+                assert_eq!(
+                    whole.data(),
+                    reference.data(),
+                    "{quant:?}+{precision:?}: stage call not bit-identical"
+                );
+                let head = stage.run(&a.rows(0, 5));
+                assert_eq!(head.data(), &reference.data()[..5 * reference.dims()[1]]);
+                let stats = stage.stats();
+                assert_eq!(stats.batches_run, 2, "one count per call");
+                assert_eq!(stats.rows_served, m + 5);
+                assert_eq!(stats.queued_high_water, m, "widest call");
+                assert!(stats.service_nanos > 0, "calls recorded no engine time");
+            }
+        }
+    }
+
+    #[test]
+    fn memo_backed_engine_stage_skips_repeat_walks_bit_identically() {
+        let (a, engine, reference) = setup(LutQuant::Int8, FloatPrecision::Bf16, 102);
+        let m = a.dims()[0];
+        let stage = EngineStage::new(share(engine), Some(Arc::new(EncodeMemo::new(8 * m))));
+        for pass in 0..2 {
+            assert_eq!(
+                stage.run(&a).data(),
+                reference.data(),
+                "pass {pass} not bit-identical through the memo"
+            );
+        }
+        let stats = stage.stats();
+        assert_eq!((stats.memo_misses, stats.memo_hits), (m, m));
+        assert_eq!(stats.rows_served, 2 * m);
     }
 }

@@ -3,9 +3,9 @@
 use lutdla_tensor::Tensor;
 use lutdla_vq::{
     amm_error, approx_matmul, approx_matmul_from_codes, approx_matmul_with_precision, bf16_round,
-    fp16_round, kmeans, share, AdaptiveOptions, BatchPolicy, CodeWidth, Distance, EngineError,
-    EngineOptions, FloatPrecision, Int8Block, KmeansConfig, LutEngine, LutQuant, LutTable,
-    MicroBatcher, PackedCodes, ProductQuantizer,
+    fp16_round, kmeans, share, BatchOptions, CodeWidth, Distance, EngineError, EngineOptions,
+    FloatPrecision, Int8Block, KmeansConfig, LutEngine, LutQuant, LutTable, MicroBatcher,
+    PackedCodes, ProductQuantizer,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -219,17 +219,15 @@ proptest! {
         prop_assert!(matches!(err, Err(EngineError::CodeBufferShape { .. })));
     }
 
-    /// An adaptive-policy micro-batcher is bit-identical to a direct
-    /// `run_batch` for every `LutQuant × FloatPrecision` combo, whatever
-    /// the window range or the single-row/block mix of the request stream:
-    /// the window an adaptive controller happens to be at is purely a
+    /// A micro-batcher is bit-identical to a direct `run_batch` for every
+    /// `LutQuant × FloatPrecision` combo, whatever the window or the block
+    /// mix of the request stream: how blocks coalesce is purely a
     /// throughput decision.
     #[test]
-    fn adaptive_serving_bit_identical_to_run_batch(
+    fn block_serving_bit_identical_to_run_batch(
         seed in 0u64..200,
         m in 1usize..25,
-        min_pow in 0u32..3,
-        max_pow in 3u32..7,
+        window_pow in 0u32..7,
         block in 1usize..6,
         quant_sel in 0usize..3,
         prec_sel in 0usize..3,
@@ -246,13 +244,8 @@ proptest! {
         let mut engine = LutEngine::new(pq, &table).with_precision(precision);
         let reference = engine.run_batch(&a);
 
-        let batcher = MicroBatcher::with_policy(
-            share(engine),
-            BatchPolicy::Adaptive(AdaptiveOptions::drain_only(
-                2usize.pow(min_pow),
-                2usize.pow(max_pow),
-            )),
-        );
+        let batcher =
+            MicroBatcher::new(share(engine), BatchOptions::immediate(2usize.pow(window_pow)));
         // Mixed stream: blocks of `block` rows with a ragged tail.
         let mut handles = Vec::new();
         let mut row0 = 0;
@@ -272,7 +265,7 @@ proptest! {
             prop_assert_eq!(
                 out.as_slice(),
                 &reference.data()[row0 * n..(row0 + rows) * n],
-                "rows {}..{} diverged under adaptive serving ({:?}+{:?})",
+                "rows {}..{} diverged under block serving ({:?}+{:?})",
                 row0, row0 + rows, quant, precision
             );
         }

@@ -96,18 +96,10 @@ fn main() {
 
     // --- 4. Whole-model serving: submit single images through every
     //        deployed layer. The session compiles one plan per dense unit
-    //        (cached LUT engine behind a per-stage micro-batcher, or the
-    //        dense path) and resolves Pending handles with final logits —
-    //        bit-identical to the batched eval above. The adaptive batch
-    //        policy gives every LUT stage its own window controller:
-    //        stages widen under backlog and collapse when idle,
-    //        independently. -------------------------------------------------
-    let cfg_deploy = rt.config();
-    let session = rt
-        .serve(&lut_net, &lut_ps)
-        .config(cfg_deploy)
-        .policy(BatchPolicy::adaptive())
-        .build_model();
+    //        (a cached LUT engine the layer calls directly, or the dense
+    //        path) and resolves Pending handles with final logits —
+    //        bit-identical to the batched eval above. -----------------------
+    let session = rt.serve(&lut_net, &lut_ps).build_model();
     println!(
         "ModelSession: {} LUT stages + {} dense units (engine cache: {:?})",
         session.lut_stages(),
@@ -135,11 +127,13 @@ fn main() {
         correct += usize::from(pred == label);
     }
     println!("served {n_serve} single-image requests end-to-end: {correct}/{n_serve} correct");
-    println!("per-stage serving stats (independently adapted windows):");
+    println!("per-stage serving stats (one engine call per stage per flush):");
     for (name, stats) in session.stage_stats() {
         println!(
-            "  {name:<16} rows {:>6} | batches {:>3} | queue high-water {:>5} | window {:>4}",
-            stats.rows_served, stats.batches_run, stats.queued_high_water, stats.current_window,
+            "  {name:<16} rows {:>6} | calls {:>3} | service {:>8.3} ms",
+            stats.rows_served,
+            stats.batches_run,
+            stats.service_nanos as f64 / 1e6,
         );
     }
     println!();
