@@ -136,6 +136,7 @@ const SERVE_TOP_FIELDS: &[&str] = &[
     "scenarios",
     "gateway_scenarios",
     "decode_scenarios",
+    "decode_sweep",
 ];
 
 /// Fields every entry of `"scenarios"` must carry.
@@ -210,10 +211,11 @@ const DECODE_SCENARIO_FIELDS: &[&str] = &[
     "max_ms",
     "mean_ms",
     "steps_per_s",
+    "service_steps_per_s",
     "full_reeval_steps_per_s",
     "prefix_speedup",
-    "reused_rows",
-    "walked_rows",
+    "lut_stages",
+    "stage_rows",
 ];
 
 /// Decode-scenario fields that must be finite and strictly positive.
@@ -228,9 +230,37 @@ const DECODE_POSITIVE_FIELDS: &[&str] = &[
     "max_ms",
     "mean_ms",
     "steps_per_s",
+    "service_steps_per_s",
     "full_reeval_steps_per_s",
     "prefix_speedup",
+    "lut_stages",
+    "stage_rows",
 ];
+
+/// Fields the `"decode_sweep"` block must carry.
+const DECODE_SWEEP_FIELDS: &[&str] = &[
+    "model",
+    "vocab",
+    "max_seq",
+    "d_model",
+    "heads",
+    "d_ff",
+    "layers",
+    "streams",
+    "window",
+    "points",
+    "p50_ratio_256_16",
+];
+
+/// Prefix positions the decode sweep times, in order.
+const SWEEP_PREFIXES: [f64; 3] = [16.0, 64.0, 256.0];
+
+/// Full-mode bound on the decode sweep's per-token p50 at prefix 256 over
+/// the p50 at prefix 16. An incremental step adds only O(prefix · d)
+/// attention and pooling work to a fixed per-row cost, so the curve is
+/// near flat (1.4–1.9 on a 2-vCPU host); a step that re-ran the whole
+/// prefix would read about 60. The bound leaves room for host noise.
+const SWEEP_MAX_P50_RATIO: f64 = 3.0;
 
 /// Scenario fields that must be finite and strictly positive.
 const SCENARIO_POSITIVE_FIELDS: &[&str] = &[
@@ -302,6 +332,11 @@ pub fn check_serve_artifact_text(text: &str) -> Result<(), String> {
         }
     }
     let full = doc.get("mode").and_then(Json::as_str) == Some("full");
+    if let Some(sweep) = doc.get("decode_sweep") {
+        let before = problems.len();
+        check_decode_sweep(sweep, full, &mut problems);
+        push_snippet_if_failed(sweep, "decode_sweep", before, &mut problems);
+    }
     match doc.get("decode_scenarios").and_then(Json::as_arr) {
         Some([]) => problems.push("\"decode_scenarios\" is empty".to_string()),
         Some(scenarios) => {
@@ -635,10 +670,11 @@ fn check_encode_once(block: &Json, full: bool, problems: &mut Vec<String>) {
 /// One `decode_*` scenario: fields, positivity, the step-accounting
 /// identity (`steps == streams * seq_len` — every scheduled token was
 /// served, none dropped at a stream boundary), percentile ordering and
-/// the overload ramp, prefix-reuse counters (reuse must actually happen:
-/// `reused_rows` > 0, and something must still be walked), and the
-/// headline prefix-reuse speedup — strictly above 1 in full mode, merely
-/// positive at smoke sizes where fixed overheads can drown the win.
+/// the overload ramp, the row-accounting identity
+/// (`stage_rows == steps * lut_stages` — each one-token step fed every LUT
+/// stage exactly its one new row), and the speedup over re-running the
+/// whole prefix — strictly above 1 in full mode, merely positive at smoke
+/// sizes where fixed overheads can drown the win.
 fn check_decode_scenario(sc: &Json, full: bool, at: &str, problems: &mut Vec<String>) {
     require_fields(sc, DECODE_SCENARIO_FIELDS, at, problems);
     if sc.as_obj().is_none() {
@@ -688,14 +724,15 @@ fn check_decode_scenario(sc: &Json, full: bool, at: &str, problems: &mut Vec<Str
             ));
         }
     }
-    for field in ["reused_rows", "walked_rows"] {
-        if let Some(x) = num(field) {
-            if x <= 0.0 {
-                problems.push(format!(
-                    "{at}.{field} = {x} (must be > 0: decode must both reuse \
-                     prefix codes and walk the new token's rows)"
-                ));
-            }
+    if let (Some(steps), Some(lut_stages), Some(stage_rows)) =
+        (num("steps"), num("lut_stages"), num("stage_rows"))
+    {
+        if stage_rows != steps * lut_stages {
+            problems.push(format!(
+                "{at}.stage_rows = {stage_rows} (must equal steps * lut_stages = {}: \
+                 each step feeds every LUT stage only its one new row)",
+                steps * lut_stages
+            ));
         }
     }
     if full {
@@ -703,10 +740,56 @@ fn check_decode_scenario(sc: &Json, full: bool, at: &str, problems: &mut Vec<Str
             if x <= 1.0 {
                 problems.push(format!(
                     "{at}.prefix_speedup = {x} (must be > 1 in full mode: \
-                     prefix code reuse must beat full re-encoding)"
+                     an incremental step must beat re-running the whole prefix)"
                 ));
             }
         }
+    }
+}
+
+/// The `decode_sweep` block: fields, the swept prefix positions (16, 64,
+/// 256, in order) with positive p50s, `p50_ratio_256_16` consistent with
+/// them, and — in full mode — the ratio within [`SWEEP_MAX_P50_RATIO`].
+fn check_decode_sweep(sweep: &Json, full: bool, problems: &mut Vec<String>) {
+    let at = "decode_sweep";
+    require_fields(sweep, DECODE_SWEEP_FIELDS, at, problems);
+    let Some(points) = sweep.get("points").and_then(Json::as_arr) else {
+        return;
+    };
+    let prefixes: Vec<Option<f64>> = points
+        .iter()
+        .map(|p| p.get("prefix").and_then(Json::as_num))
+        .collect();
+    if prefixes != SWEEP_PREFIXES.map(Some) {
+        problems.push(format!(
+            "{at}.points prefixes are {prefixes:?}, expected {SWEEP_PREFIXES:?}"
+        ));
+        return;
+    }
+    let mut p50s = Vec::with_capacity(points.len());
+    for (i, point) in points.iter().enumerate() {
+        match point.get("p50_ms").and_then(Json::as_num) {
+            Some(x) if x.is_finite() && x > 0.0 => p50s.push(x),
+            other => {
+                problems.push(format!("{at}.points[{i}].p50_ms = {other:?} (must be > 0)"));
+                return;
+            }
+        }
+    }
+    let Some(ratio) = sweep.get("p50_ratio_256_16").and_then(Json::as_num) else {
+        return;
+    };
+    let want = p50s[2] / p50s[0];
+    if (ratio - want).abs() > 1e-3 * want.max(1.0) {
+        problems.push(format!(
+            "{at}.p50_ratio_256_16 = {ratio} (must equal p50@256 / p50@16 = {want:.4})"
+        ));
+    }
+    if full && ratio > SWEEP_MAX_P50_RATIO {
+        problems.push(format!(
+            "{at}.p50_ratio_256_16 = {ratio} (must be <= {SWEEP_MAX_P50_RATIO} in full mode: \
+             per-token cost must stay near flat in the prefix length)"
+        ));
     }
 }
 
@@ -1043,15 +1126,20 @@ mod tests {
      "arrival": "poisson", "streams": 3, "seq_len": 8, "steps": 24,
      "offered_sps": 110.0, "p50_ms": 1.4, "p95_ms": 1.9, "p99_ms": 2.2,
      "max_ms": 2.5, "mean_ms": 1.5, "steps_per_s": 620.0,
-     "full_reeval_steps_per_s": 640.0, "prefix_speedup": 0.98,
-     "reused_rows": 84, "walked_rows": 24},
+     "service_steps_per_s": 627.0, "full_reeval_steps_per_s": 640.0,
+     "prefix_speedup": 0.98, "lut_stages": 5, "stage_rows": 120},
     {"name": "decode_overload", "model": "gpt_mini", "load": "overload",
      "arrival": "poisson", "streams": 3, "seq_len": 8, "steps": 24,
      "offered_sps": 4800.0, "p50_ms": 9.0, "p95_ms": 22.0, "p99_ms": 26.0,
      "max_ms": 28.0, "mean_ms": 11.0, "steps_per_s": 560.0,
-     "full_reeval_steps_per_s": 640.0, "prefix_speedup": 0.95,
-     "reused_rows": 84, "walked_rows": 24}
-  ]
+     "service_steps_per_s": 608.0, "full_reeval_steps_per_s": 640.0,
+     "prefix_speedup": 0.95, "lut_stages": 5, "stage_rows": 120}
+  ],
+  "decode_sweep": {"model": "causal_transformer", "vocab": 64, "max_seq": 256,
+    "d_model": 64, "heads": 4, "d_ff": 128, "layers": 2, "streams": 2,
+    "window": 8, "points": [{"prefix": 16, "p50_ms": 0.05},
+    {"prefix": 64, "p50_ms": 0.07}, {"prefix": 256, "p50_ms": 0.18}],
+    "p50_ratio_256_16": 3.6}
 }"#
         .to_string()
     }
@@ -1269,6 +1357,8 @@ mod tests {
             .replace("\"mode\": \"smoke\"", "\"mode\": \"full\"")
             .replace("\"prefix_speedup\": 0.98", "\"prefix_speedup\": 1.6")
             .replace("\"prefix_speedup\": 0.95", "\"prefix_speedup\": 1.4")
+            .replace("\"p50_ms\": 0.18}", "\"p50_ms\": 0.09}")
+            .replace("\"p50_ratio_256_16\": 3.6", "\"p50_ratio_256_16\": 1.8")
     }
 
     #[test]
@@ -1345,13 +1435,81 @@ mod tests {
     }
 
     #[test]
-    fn decode_dead_reuse_counters_fail() {
-        let doc = valid_serve_doc().replacen("\"reused_rows\": 84", "\"reused_rows\": 0", 1);
-        let err = check_serve_artifact_text(&doc).expect_err("no reuse");
-        assert!(err.contains("decode_scenarios[0].reused_rows = 0"), "{err}");
-        let doc = valid_serve_doc().replacen("\"walked_rows\": 24", "\"walked_rows\": 0", 1);
-        let err = check_serve_artifact_text(&doc).expect_err("no walking");
-        assert!(err.contains("decode_scenarios[0].walked_rows = 0"), "{err}");
+    fn decode_stage_rows_must_equal_steps_times_lut_stages() {
+        // One extra row: some step fed a stage more than its new row.
+        let doc = valid_serve_doc().replacen("\"stage_rows\": 120", "\"stage_rows\": 121", 1);
+        let err = check_serve_artifact_text(&doc).expect_err("extra stage row");
+        assert!(
+            err.contains(
+                "decode_scenarios[0].stage_rows = 121 (must equal steps * lut_stages = 120"
+            ),
+            "{err}"
+        );
+        // A whole-prefix re-run per step would feed far more rows.
+        let doc = valid_serve_doc().replacen("\"stage_rows\": 120", "\"stage_rows\": 1500", 1);
+        assert!(check_serve_artifact_text(&doc).is_err());
+        // No LUT stage at all is not a decode measurement.
+        let doc = valid_serve_doc().replacen("\"lut_stages\": 5", "\"lut_stages\": 0", 1);
+        let err = check_serve_artifact_text(&doc).expect_err("no LUT stages");
+        assert!(
+            err.contains("decode_scenarios[0].lut_stages = 0 (must be > 0)"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn decode_service_rate_is_required() {
+        let doc = valid_serve_doc().replacen("\"service_steps_per_s\": 627.0, ", "", 1);
+        let err = check_serve_artifact_text(&doc).expect_err("missing rate");
+        assert!(
+            err.contains("decode_scenarios[0] is missing \"service_steps_per_s\""),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn decode_sweep_ratio_gate_fires_only_in_full_mode() {
+        // The smoke template's 3.6 passes (valid_serve_artifact_passes);
+        // full mode holds it to the bound.
+        let doc = valid_serve_doc().replace("\"mode\": \"smoke\"", "\"mode\": \"full\"");
+        let err = check_serve_artifact_text(&doc).expect_err("steep sweep");
+        assert!(
+            err.contains("decode_sweep.p50_ratio_256_16 = 3.6 (must be <= 3 in full mode"),
+            "{err}"
+        );
+        assert!(err.contains("decode_sweep JSON: {"), "{err}");
+    }
+
+    #[test]
+    fn decode_sweep_ratio_must_match_its_points() {
+        let doc =
+            valid_serve_doc().replace("\"p50_ratio_256_16\": 3.6", "\"p50_ratio_256_16\": 1.2");
+        let err = check_serve_artifact_text(&doc).expect_err("inconsistent ratio");
+        assert!(
+            err.contains(
+                "decode_sweep.p50_ratio_256_16 = 1.2 (must equal p50@256 / p50@16 = 3.6000)"
+            ),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn decode_sweep_points_are_checked() {
+        let doc = valid_serve_doc().replace("\"prefix\": 64", "\"prefix\": 32");
+        let err = check_serve_artifact_text(&doc).expect_err("wrong prefixes");
+        assert!(err.contains("decode_sweep.points prefixes are"), "{err}");
+        let doc = valid_serve_doc().replace("\"p50_ms\": 0.07}", "\"p50_ms\": 0.0}");
+        let err = check_serve_artifact_text(&doc).expect_err("zero p50");
+        assert!(
+            err.contains("decode_sweep.points[1].p50_ms = Some(0.0) (must be > 0)"),
+            "{err}"
+        );
+        let doc = valid_serve_doc().replace("\"decode_sweep\"", "\"renamed_sweep\"");
+        let err = check_serve_artifact_text(&doc).expect_err("missing sweep");
+        assert!(
+            err.contains("missing top-level field \"decode_sweep\""),
+            "{err}"
+        );
     }
 
     #[test]

@@ -10,9 +10,11 @@
 //! `decode_*` family streams tokens through [`DecodeSession`]s (N
 //! autoregressive streams over a causal transformer, one step per new
 //! token) and reports per-token latency percentiles, decode throughput
-//! against a full-re-eval baseline (`prefix_speedup`), and the
-//! prefix-reuse row counters. Emits `BENCH_serve.json` so every CI run
-//! leaves a serving-latency data point on the record.
+//! against a full-re-eval baseline (`prefix_speedup`, both rates
+//! service-only), and the rows the LUT stages served. A `decode_sweep`
+//! block times the closed-loop per-token p50 at prefix positions 16, 64
+//! and 256 on a 256-context causal transformer. Emits `BENCH_serve.json`
+//! so every CI run leaves a serving-latency data point on the record.
 //!
 //! Usage:
 //!
@@ -30,8 +32,9 @@
 //! requests, every admitted request served, latency-class p99 ≤
 //! best-effort p99 under overload), and the decode gates (per-token
 //! percentiles monotone, `steps == streams * seq_len` accounting,
-//! `reused_rows`/`walked_rows` > 0, `prefix_speedup` > 0 — and > 1 in
-//! full mode). Each failed field is printed with its path, any failing
+//! `stage_rows == steps * lut_stages`, `prefix_speedup` > 0 — and > 1 in
+//! full mode — and a sweep whose `p50_ratio_256_16` is ≤ 3 in full
+//! mode). Each failed field is printed with its path, any failing
 //! scenario is echoed back as a compact JSON snippet, and the exit code
 //! is non-zero on any problem.
 //!

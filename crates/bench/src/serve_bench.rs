@@ -34,13 +34,17 @@
 //! A third family (`decode_*`) measures token-streaming decode sessions
 //! ([`LutRuntime::decode_session`]): several sequential streams each feed
 //! one token per step at a paced arrival schedule, reporting per-token
-//! latency percentiles, steps/s, the closed-loop full-re-eval baseline
-//! (every step re-encoding the whole prefix through a fresh
-//! [`ModelSession`] submit), and the prefix-reuse counters
-//! ([`DecodeSession::decode_stats`]) that explain the speedup.
+//! latency percentiles, three step rates on one basis (wall-clock,
+//! service-only, and the closed-loop full-re-eval baseline — every step
+//! re-running the whole prefix through a fresh [`ModelSession`] submit),
+//! and the rows the LUT stages served
+//! ([`DecodeSession::stage_stats`]). A `decode_sweep` block times the
+//! closed-loop per-token p50 at prefix positions 16, 64 and 256 on a
+//! 256-context causal transformer: incremental decode keeps that curve
+//! near flat.
 //!
 //! [`StageStats::delta`]: lutdla_vq::StageStats::delta
-//! [`DecodeSession::decode_stats`]: lutdla_lutboost::DecodeSession::decode_stats
+//! [`DecodeSession::stage_stats`]: lutdla_lutboost::DecodeSession::stage_stats
 
 use std::time::{Duration, Instant};
 
@@ -50,7 +54,10 @@ use lutdla_lutboost::{
     lutify_convnet, lutify_transformer, CentroidInit, ClassPolicy, ConvertPolicy, GatewayOptions,
     LutConfig, LutRuntime, ModelSession, RuntimeOptions, ServeGateway, SloClass, TenantId,
 };
-use lutdla_models::trainable::{distilbert_mini, gpt_mini, resnet20_mini, ConvNet, ServableModel};
+use lutdla_models::trainable::{
+    distilbert_mini, gpt_mini, resnet20_mini, ConvNet, ServableModel, TransformerClassifier,
+    TransformerConfig,
+};
 use lutdla_nn::ParamSet;
 use lutdla_tensor::Tensor;
 use lutdla_vq::{Pending, ServeError, StageStats};
@@ -284,18 +291,37 @@ pub struct DecodeScenarioResult {
     pub mean_ms: f64,
     /// Steps served over total wall time (pacing included), steps/s.
     pub steps_per_s: f64,
-    /// Closed-loop baseline: every step re-encoding its whole prefix
-    /// through a fresh `ModelSession` submit, steps/s.
+    /// Decode service rate: steps over the summed in-call step times
+    /// (pacing excluded), steps/s — the numerator of `prefix_speedup`.
+    pub service_steps_per_s: f64,
+    /// Closed-loop baseline: every step re-running its whole prefix
+    /// through a fresh `ModelSession` submit, steps/s — service-only, like
+    /// `service_steps_per_s`.
     pub full_reeval_steps_per_s: f64,
-    /// Decode service rate (sum of per-step service times, pacing
-    /// excluded) over the full-re-eval baseline rate. > 1 means prefix
-    /// code reuse beat re-encoding from scratch.
+    /// `service_steps_per_s / full_reeval_steps_per_s`. > 1 means the
+    /// incremental step beat re-running the whole prefix.
     pub prefix_speedup: f64,
-    /// Prefix rows spliced from cached packed codes, summed over every
-    /// LUT stage of every stream.
-    pub reused_rows: u64,
-    /// Rows that paid the similarity walk, summed likewise.
-    pub walked_rows: u64,
+    /// LUT stages of the decode model's plan.
+    pub lut_stages: usize,
+    /// Rows the LUT stages served, summed over every stage of every
+    /// stream ([`StageStats::rows_served`]). Incremental decode feeds each
+    /// stage one row per one-token step: `steps × lut_stages`.
+    pub stage_rows: usize,
+}
+
+/// The `decode_sweep` block: closed-loop per-token step latency at a few
+/// prefix positions on a 256-context causal transformer.
+#[derive(Debug, Clone)]
+pub struct DecodeSweepResult {
+    /// The swept model's shape.
+    pub cfg: TransformerConfig,
+    /// Sessions decoded from position 1 to `max_seq`.
+    pub streams: usize,
+    /// Steps timed per stream at each point: the ones ending at positions
+    /// `prefix - window + 1 ..= prefix`.
+    pub window: usize,
+    /// `(prefix position, p50 ms)`, ascending.
+    pub points: Vec<(usize, f64)>,
 }
 
 /// The whole artifact, pre-serialization.
@@ -315,6 +341,8 @@ pub struct ServeReport {
     pub gateway_scenarios: Vec<GatewayScenarioResult>,
     /// The token-streaming decode scenarios.
     pub decode_scenarios: Vec<DecodeScenarioResult>,
+    /// The per-token latency sweep over prefix positions.
+    pub decode_sweep: DecodeSweepResult,
 }
 
 /// Runs the full scenario matrix and returns the report.
@@ -326,6 +354,7 @@ pub fn run(cfg: ServeBenchConfig) -> ServeReport {
     run_gateway(cfg, &mut gateway_scenarios);
     let mut decode_scenarios = Vec::new();
     run_decode(cfg, &mut decode_scenarios);
+    let decode_sweep = run_decode_sweep(cfg);
     ServeReport {
         mode: if cfg.smoke { "smoke" } else { "full" },
         arrival: if cfg.poisson { "poisson" } else { "fixed" },
@@ -334,6 +363,7 @@ pub fn run(cfg: ServeBenchConfig) -> ServeReport {
         scenarios,
         gateway_scenarios,
         decode_scenarios,
+        decode_sweep,
     }
 }
 
@@ -794,15 +824,14 @@ fn run_gateway(cfg: ServeBenchConfig, out: &mut Vec<GatewayScenarioResult>) {
 /// one stream after another, with arrivals paced at `low`/`overload`
 /// multiples of the measured closed-loop step rate.
 ///
-/// Two rates frame the tentpole's claim. `full_reeval_steps_per_s` is the
+/// Two service rates frame the claim. `full_reeval_steps_per_s` is the
 /// do-nothing baseline — every step submits its whole prefix to a plain
-/// [`ModelSession`], so every stage re-walks every row every step.
-/// `prefix_speedup` divides the decode session's *service* rate (sum of
-/// per-step service times, pacing sleeps excluded) by that baseline: the
-/// decode path runs the same full-prefix forward but splices the prefix's
-/// packed codes out of its per-stage caches, so only the new token's rows
-/// pay the similarity walk — `reused_rows`/`walked_rows` shows the ratio
-/// doing the work.
+/// [`ModelSession`], so every stage re-runs every row every step.
+/// `service_steps_per_s` is the decode session's rate over the same
+/// steps (sum of per-step service times, pacing sleeps excluded), and
+/// `prefix_speedup` is their ratio: a decode step runs only the new
+/// token's row through the model, so every LUT stage serves one row per
+/// step — `stage_rows` counts them.
 fn run_decode(cfg: ServeBenchConfig, out: &mut Vec<DecodeScenarioResult>) {
     let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0xdec0);
     let mut ps = ParamSet::new();
@@ -866,11 +895,11 @@ fn run_decode(cfg: ServeBenchConfig, out: &mut Vec<DecodeScenarioResult>) {
         let t0 = Instant::now();
         let mut hist = LatencyHistogram::new();
         let mut service_total = Duration::ZERO;
-        let (mut reused, mut walked) = (0u64, 0u64);
+        let (mut stage_rows, mut lut_stages) = (0usize, 0usize);
         let mut i = 0usize;
         for s in 0..streams {
-            // One `DecodeSession` per stream; its per-stage caches (and
-            // reuse counters) live for exactly this stream's prefix.
+            // One `DecodeSession` per stream; its key/value cache (and
+            // stage counters) live for exactly this stream's prefix.
             let session = rt.decode_session(&net, &ps).expect("causal model");
             for t in 0..seq_len {
                 let off = offsets[i];
@@ -890,10 +919,12 @@ fn run_decode(cfg: ServeBenchConfig, out: &mut Vec<DecodeScenarioResult>) {
                 hist.record(timing.latency_since(t0 + off));
                 i += 1;
             }
-            for (_, st) in session.decode_stats() {
-                reused += st.reused_rows;
-                walked += st.walked_rows;
-            }
+            lut_stages = session.lut_stages();
+            stage_rows += session
+                .stage_stats()
+                .iter()
+                .map(|(_, st)| st.rows_served)
+                .sum::<usize>();
         }
         let total = t0.elapsed();
 
@@ -914,23 +945,100 @@ fn run_decode(cfg: ServeBenchConfig, out: &mut Vec<DecodeScenarioResult>) {
             max_ms: ms(hist.max()),
             mean_ms: ms(hist.mean()),
             steps_per_s: steps as f64 / total.as_secs_f64().max(1e-9),
+            service_steps_per_s: decode_service_sps,
             full_reeval_steps_per_s: full_reeval_sps,
             prefix_speedup: decode_service_sps / full_reeval_sps.max(1e-9),
-            reused_rows: reused,
-            walked_rows: walked,
+            lut_stages,
+            stage_rows,
         };
         println!(
-            "  {:<28} offered {:>7.0} st/s | served {:>7.0} | p50 {:>8.3} ms | p99 {:>8.3} ms | speedup {:.2}x | reused {:>5} walked {:>5}",
+            "  {:<28} offered {:>7.0} st/s | served {:>7.0} | service {:>7.0} | p50 {:>8.3} ms | p99 {:>8.3} ms | speedup {:.2}x | stage rows {:>5}",
             scenario.name,
             scenario.offered_sps,
             scenario.steps_per_s,
+            scenario.service_steps_per_s,
             scenario.p50_ms,
             scenario.p99_ms,
             scenario.prefix_speedup,
-            scenario.reused_rows,
-            scenario.walked_rows,
+            scenario.stage_rows,
         );
         out.push(scenario);
+    }
+}
+
+/// Measures the `decode_sweep` block: a converted causal transformer of
+/// the `decode_long` shape (vocab 64, context 256, width 64, 4 heads,
+/// FFN 128, 2 blocks) decoded closed-loop from position 1 to 256, one
+/// token per step, timing each step. A point's p50 pools the
+/// `SWEEP_WINDOW` steps ending at its prefix position over every stream.
+fn run_decode_sweep(cfg: ServeBenchConfig) -> DecodeSweepResult {
+    const POINTS: [usize; 3] = [16, 64, 256];
+    const SWEEP_WINDOW: usize = 8;
+    let model_cfg = TransformerConfig {
+        vocab: 64,
+        max_seq: 256,
+        d_model: 64,
+        heads: 4,
+        d_ff: 128,
+        layers: 2,
+        num_classes: 16,
+        seed: cfg.seed ^ 0x5eed,
+        causal: true,
+    };
+    let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x5e3e);
+    let mut ps = ParamSet::new();
+    let mut net = TransformerClassifier::new(&mut ps, model_cfg);
+    let calib: Vec<usize> = (0..2 * 64).map(|i| (i * 29 + 5) % 64).collect();
+    let _ = lutify_transformer(
+        &mut net,
+        &mut ps,
+        LutConfig::default(),
+        CentroidInit::Kmeans,
+        ConvertPolicy::default(),
+        &calib,
+        2,
+        64,
+        &mut rng,
+    );
+    let streams = if cfg.smoke { 2 } else { 8 };
+    let mut rt = LutRuntime::new(lutdla_lutboost::DeployConfig::bf16_int8());
+    // step_ms[p] holds every stream's time for the step ending at p + 1.
+    let mut step_ms = vec![Vec::with_capacity(streams); model_cfg.max_seq];
+    for s in 0..streams {
+        let session = rt.decode_session(&net, &ps).expect("causal model");
+        for (p, times) in step_ms.iter_mut().enumerate() {
+            let token = (s * 131 + p * 17 + 3) % model_cfg.vocab;
+            let t0 = Instant::now();
+            let h = session.step(vec![token]).expect("valid step");
+            h.wait().expect("step resolved");
+            times.push(t0.elapsed().as_secs_f64() * 1e3);
+        }
+    }
+    let points: Vec<(usize, f64)> = POINTS
+        .iter()
+        .map(|&prefix| {
+            let mut window: Vec<f64> = step_ms[prefix - SWEEP_WINDOW..prefix]
+                .iter()
+                .flatten()
+                .copied()
+                .collect();
+            window.sort_by(f64::total_cmp);
+            (prefix, window[window.len() / 2])
+        })
+        .collect();
+    println!(
+        "decode sweep: per-token p50 {}",
+        points
+            .iter()
+            .map(|(p, ms)| format!("@{p} {ms:.3} ms"))
+            .collect::<Vec<_>>()
+            .join(" | ")
+    );
+    DecodeSweepResult {
+        cfg: model_cfg,
+        streams,
+        window: SWEEP_WINDOW,
+        points,
     }
 }
 
@@ -1069,8 +1177,9 @@ pub fn to_json(report: &ServeReport) -> String {
              \"arrival\": \"{}\", \"streams\": {}, \"seq_len\": {}, \"steps\": {}, \
              \"offered_sps\": {:.1}, \"p50_ms\": {:.4}, \"p95_ms\": {:.4}, \
              \"p99_ms\": {:.4}, \"max_ms\": {:.4}, \"mean_ms\": {:.4}, \
-             \"steps_per_s\": {:.1}, \"full_reeval_steps_per_s\": {:.1}, \
-             \"prefix_speedup\": {:.4}, \"reused_rows\": {}, \"walked_rows\": {}}}{}\n",
+             \"steps_per_s\": {:.1}, \"service_steps_per_s\": {:.1}, \
+             \"full_reeval_steps_per_s\": {:.1}, \"prefix_speedup\": {:.4}, \
+             \"lut_stages\": {}, \"stage_rows\": {}}}{}\n",
             sc.name,
             sc.model,
             sc.load,
@@ -1085,10 +1194,11 @@ pub fn to_json(report: &ServeReport) -> String {
             sc.max_ms,
             sc.mean_ms,
             sc.steps_per_s,
+            sc.service_steps_per_s,
             sc.full_reeval_steps_per_s,
             sc.prefix_speedup,
-            sc.reused_rows,
-            sc.walked_rows,
+            sc.lut_stages,
+            sc.stage_rows,
             if i + 1 == report.decode_scenarios.len() {
                 ""
             } else {
@@ -1096,7 +1206,33 @@ pub fn to_json(report: &ServeReport) -> String {
             },
         ));
     }
-    s.push_str("  ]\n");
+    s.push_str("  ],\n");
+    let sw = &report.decode_sweep;
+    let p50 = |prefix: usize| {
+        sw.points
+            .iter()
+            .find(|&&(p, _)| p == prefix)
+            .map_or(0.0, |&(_, ms)| ms)
+    };
+    s.push_str(&format!(
+        "  \"decode_sweep\": {{\"model\": \"causal_transformer\", \"vocab\": {}, \
+         \"max_seq\": {}, \"d_model\": {}, \"heads\": {}, \"d_ff\": {}, \"layers\": {}, \
+         \"streams\": {}, \"window\": {}, \"points\": [{}], \"p50_ratio_256_16\": {:.4}}}\n",
+        sw.cfg.vocab,
+        sw.cfg.max_seq,
+        sw.cfg.d_model,
+        sw.cfg.heads,
+        sw.cfg.d_ff,
+        sw.cfg.layers,
+        sw.streams,
+        sw.window,
+        sw.points
+            .iter()
+            .map(|(p, ms)| format!("{{\"prefix\": {p}, \"p50_ms\": {ms:.4}}}"))
+            .collect::<Vec<_>>()
+            .join(", "),
+        p50(256) / p50(16).max(1e-9),
+    ));
     s.push_str("}\n");
     s
 }

@@ -70,6 +70,7 @@ const HOT_PATHS: &[&str] = &[
     "crates/lutboost/src/gateway.rs",
     "crates/lutboost/src/lut_gemm.rs",
     "crates/lutboost/src/runtime.rs",
+    "crates/lutboost/src/deploy.rs",
 ];
 
 /// The one sanctioned thread-spawn site (PR 3's `WorkerPool`).

@@ -96,13 +96,14 @@ fn gateway_is_a_panic_discipline_hot_path() {
 #[test]
 fn deploy_route_files_are_panic_discipline_hot_paths() {
     // A deployed layer's eval forward calls its engine on the serving
-    // thread, and the runtime builds every session's routes: a panic in
-    // either unwinds a flush mid-request. The seeded fixture must trip at
-    // both paths.
+    // thread, the runtime builds every session's routes, and the deployed
+    // eval loops drain session handles: a panic in any of them unwinds a
+    // flush mid-request. The seeded fixture must trip at all three paths.
     let source = fixture_source("panic-discipline");
     for path in [
         "crates/lutboost/src/lut_gemm.rs",
         "crates/lutboost/src/runtime.rs",
+        "crates/lutboost/src/deploy.rs",
     ] {
         let hot = check_source(path, "lutdla-lutboost", &source, &Config::empty());
         assert_eq!(hot.len(), 1, "{path} must be a hot path, got {hot:#?}");

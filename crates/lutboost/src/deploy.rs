@@ -6,22 +6,16 @@
 //! this module provides the numeric configuration ([`DeployConfig`]), the
 //! single iterator ([`lut_layers`]) every architecture's deploy path funnels
 //! through, the runtime-backed evaluation entry points, and the compiled
-//! per-unit plans of the serving sessions: [`UnitPlan`] (a LUT unit's
-//! [`EngineStage`], called directly by the layer's eval forward) and
-//! [`DecodePlan`] (a LUT unit's [`DecodeStageCache`], which reuses the
-//! prefix's packed codes across decode steps).
+//! per-unit plan every serving session runs: [`UnitPlan`], a LUT unit's
+//! [`EngineStage`] called directly by the layer's eval forward. A
+//! [`crate::ModelSession`] and a [`crate::DecodeSession`] compile the same
+//! plan; a decode step simply feeds each stage only its new rows.
 
-use std::cell::RefCell;
-use std::rc::Rc;
 use std::sync::Arc;
 
 use lutdla_nn::data::{ImageDataset, SeqDataset};
 use lutdla_nn::ParamSet;
-use lutdla_tensor::Tensor;
-use lutdla_vq::{
-    lock_engine, CodeWidth, EncodeMemo, EngineStage, FloatPrecision, LutEngine, LutQuant,
-    PackedCodes, SharedEngine, StageStats,
-};
+use lutdla_vq::{EngineStage, FloatPrecision, LutQuant, Pending, ServeError, StageStats};
 
 use lutdla_models::trainable::{ConvNet, DenseUnit, TransformerClassifier};
 
@@ -76,10 +70,12 @@ pub fn undeploy_units<'a>(units: impl IntoIterator<Item = &'a DenseUnit>) {
     }
 }
 
-/// One dense unit's compiled execution route in a whole-model serving
-/// session ([`crate::ModelSession`]): LUT engine or dense path. Compiled
-/// once per session by [`crate::SessionBuilder::build_model`]; the session
-/// replays the plan on every flush.
+/// One dense unit's compiled execution route in a serving session
+/// ([`crate::ModelSession`] or [`crate::DecodeSession`]): LUT engine or
+/// dense path. Compiled once per session by
+/// [`crate::SessionBuilder::build_model`] or
+/// [`crate::SessionBuilder::build_decode`]; the session replays the plan
+/// on every flush or step.
 pub enum UnitPlan {
     /// A converted layer: its engine (resolved through the runtime's LRU
     /// cache), called directly by the layer's eval forward.
@@ -114,7 +110,7 @@ impl UnitPlan {
 
     /// Snapshot of this stage's counters (engine calls, rows, widest call,
     /// service time, memo traffic) — the per-stage observability surface
-    /// of a [`crate::ModelSession`]. `None` for units on the dense path.
+    /// of a session. `None` for units on the dense path.
     pub fn stage_stats(&self) -> Option<StageStats> {
         match self {
             UnitPlan::Lut { stage, .. } => Some(stage.stats()),
@@ -136,253 +132,14 @@ impl std::fmt::Debug for UnitPlan {
     }
 }
 
-/// Prefix-reuse counters of one [`DecodeStageCache`], cumulative over a
-/// [`crate::DecodeSession`]'s lifetime. On a causal model every step after
-/// the first should mostly `reuse`: only the new token's rows re-walk.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DecodeStageStats {
-    /// Rows whose packed codes were spliced from the cached prefix — no
-    /// similarity walk.
-    pub reused_rows: u64,
-    /// Rows that went through the similarity walk (new or changed rows).
-    pub walked_rows: u64,
-}
-
-/// Per-stage prefix cache of a [`crate::DecodeSession`]: the previous
-/// step's activation rows (as exact bit-images) together with their packed
-/// code stream ([`PackedCodes`]). On the next step, the longest bitwise-
-/// common row prefix reuses its codes verbatim — [`PackedCodes::truncate_rows`]
-/// plus [`PackedCodes::append`] splice the cached prefix to a freshly
-/// encoded suffix — so only new rows pay the similarity walk. Because
-/// packed codes fully determine the lookup ([`LutEngine::run_from_packed`]
-/// is bit-identical to `run_batch` on the same rows), reuse never changes
-/// a single output bit.
-pub struct DecodeStageCache {
-    engine: SharedEngine,
-    /// Optional cross-step encode memo ([`crate::RuntimeOptions::memo_rows`]):
-    /// fresh rows that hash-match a previously walked row skip the walk too.
-    memo: Option<Arc<EncodeMemo>>,
-    inner: RefCell<CacheInner>,
-}
-
-#[derive(Default)]
-struct CacheInner {
-    /// Bit-image of the previous eval's activation rows (`rows × k`).
-    rows: Vec<f32>,
-    /// Row width of `rows`; `0` until the first eval.
-    k: usize,
-    /// The previous eval's packed code stream (same row count as `rows`).
-    packed: Option<PackedCodes>,
-    /// Packed-stream geometry `(n_sub, width, row_stride)`, learned from
-    /// the first encode; needed to size memo lookups without walking.
-    geometry: Option<(usize, CodeWidth, usize)>,
-    reused_rows: u64,
-    walked_rows: u64,
-}
-
-impl DecodeStageCache {
-    pub(crate) fn new(engine: SharedEngine, memo: Option<Arc<EncodeMemo>>) -> Self {
-        Self {
-            engine,
-            memo,
-            inner: RefCell::new(CacheInner::default()),
-        }
-    }
-
-    /// The engine this stage runs on.
-    pub fn engine(&self) -> &SharedEngine {
-        &self.engine
-    }
-
-    /// Cumulative reuse/walk row counters.
-    pub fn stats(&self) -> DecodeStageStats {
-        let inner = self.inner.borrow();
-        DecodeStageStats {
-            reused_rows: inner.reused_rows,
-            walked_rows: inner.walked_rows,
-        }
-    }
-
-    /// Serves one eval-mode forward through the prefix cache; bit-identical
-    /// to `run_batch(x)` on the same engine. See the type docs.
-    pub(crate) fn eval(&self, x: &Tensor) -> Tensor {
-        let mut eng = lock_engine(&self.engine);
-        let (m, k) = (x.dims()[0], x.dims()[1]);
-        let data = x.data();
-        let mut inner = self.inner.borrow_mut();
-        // Longest bitwise-common row prefix against the previous eval.
-        let mut common = 0usize;
-        if inner.k == k && k > 0 {
-            let limit = (inner.rows.len() / k).min(m);
-            while common < limit
-                && bits_eq(
-                    &inner.rows[common * k..(common + 1) * k],
-                    &data[common * k..(common + 1) * k],
-                )
-            {
-                common += 1;
-            }
-        }
-        let mut stream = match inner.packed.take() {
-            Some(mut p) if common > 0 => {
-                p.truncate_rows(common);
-                Some(p)
-            }
-            _ => {
-                common = 0;
-                None
-            }
-        };
-        let fresh = m - common;
-        if fresh > 0 {
-            let suffix = self.encode_suffix(
-                &mut eng,
-                &data[common * k..m * k],
-                fresh,
-                k,
-                &mut inner.geometry,
-            );
-            match stream.as_mut() {
-                Some(s) => s.append(&suffix),
-                None => stream = Some(suffix),
-            }
-        }
-        inner.reused_rows += common as u64;
-        inner.walked_rows += fresh as u64;
-        inner.k = k;
-        inner.rows.clear();
-        inner.rows.extend_from_slice(&data[..m * k]);
-        let y = match stream.as_ref().map(|s| eng.run_from_packed(s)) {
-            Some(Ok(y)) => y,
-            // Structurally unreachable — the spliced stream always holds
-            // `m ≥ 1` rows of this engine's geometry — but the serving path
-            // degrades to a plain (still bit-identical) batch run rather
-            // than panicking.
-            _ => eng.run_batch(x),
-        };
-        inner.packed = stream;
-        y
-    }
-
-    /// Encodes `fresh` new rows, through the per-stage memo when present:
-    /// memo hits paste their verified packed bytes; misses walk one row and
-    /// seed the memo for later steps (and streams).
-    fn encode_suffix(
-        &self,
-        eng: &mut LutEngine,
-        rows: &[f32],
-        fresh: usize,
-        k: usize,
-        geometry: &mut Option<(usize, CodeWidth, usize)>,
-    ) -> PackedCodes {
-        let Some(memo) = &self.memo else {
-            return eng.encode_packed(&Tensor::from_vec(rows.to_vec(), &[fresh, k]));
-        };
-        let mut bytes = Vec::new();
-        for r in 0..fresh {
-            let row = &rows[r * k..(r + 1) * k];
-            if let Some((_, _, stride)) = *geometry {
-                let start = bytes.len();
-                bytes.resize(start + stride, 0u8);
-                if memo.lookup(row, &mut bytes[start..]) {
-                    continue;
-                }
-                bytes.truncate(start);
-            }
-            let one = eng.encode_packed(&Tensor::from_vec(row.to_vec(), &[1, k]));
-            memo.insert(row, one.row_bytes(0));
-            *geometry = Some((one.n_sub(), one.width(), one.row_stride()));
-            bytes.extend_from_slice(one.bytes());
-        }
-        match *geometry {
-            Some((n_sub, width, _)) => PackedCodes::from_bytes(bytes, fresh, n_sub, width),
-            // Unreachable: `fresh > 0`, and any first row is a memo miss
-            // (lookups need the geometry this arm lacks), which sets it.
-            None => eng.encode_packed(&Tensor::from_vec(rows.to_vec(), &[fresh, k])),
-        }
-    }
-}
-
-impl std::fmt::Debug for DecodeStageCache {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let s = self.stats();
-        f.debug_struct("DecodeStageCache")
-            .field("reused_rows", &s.reused_rows)
-            .field("walked_rows", &s.walked_rows)
-            .field("memo", &self.memo.is_some())
-            .finish()
-    }
-}
-
-/// Bitwise row equality — the prefix cache keys on the exact activation
-/// image, so `-0.0 ≠ 0.0` and any NaN payload change invalidates reuse
-/// (strictly conservative: a false negative only costs a re-walk).
-fn bits_eq(a: &[f32], b: &[f32]) -> bool {
-    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
-}
-
-/// One dense unit's compiled route in a [`crate::DecodeSession`] — the
-/// decode twin of [`UnitPlan`]: LUT stages route through a per-stage
-/// prefix cache instead of calling the engine directly.
-pub enum DecodePlan {
-    /// A converted layer: its step-to-step prefix cache over the cached
-    /// engine, installed on the layer for the span of each step.
-    Lut {
-        /// Unit name, for reporting.
-        name: String,
-        /// The stage's prefix cache (it holds the stage's engine).
-        cache: Rc<DecodeStageCache>,
-    },
-    /// A unit the convert policy kept dense: served by the plain GEMM
-    /// inside the model's eval forward.
-    Dense {
-        /// Unit name, for reporting.
-        name: String,
-    },
-}
-
-impl DecodePlan {
-    /// Whether this unit runs on a LUT engine.
-    pub fn is_lut(&self) -> bool {
-        matches!(self, DecodePlan::Lut { .. })
-    }
-
-    /// The unit's name.
-    pub fn name(&self) -> &str {
-        match self {
-            DecodePlan::Lut { name, .. } | DecodePlan::Dense { name } => name,
-        }
-    }
-
-    /// This stage's prefix-reuse counters; `None` for dense units.
-    pub fn stage_stats(&self) -> Option<DecodeStageStats> {
-        match self {
-            DecodePlan::Lut { cache, .. } => Some(cache.stats()),
-            DecodePlan::Dense { .. } => None,
-        }
-    }
-}
-
-impl std::fmt::Debug for DecodePlan {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            DecodePlan::Lut { name, cache, .. } => f
-                .debug_struct("Lut")
-                .field("name", name)
-                .field("cache", cache)
-                .finish(),
-            DecodePlan::Dense { name } => f.debug_struct("Dense").field("name", name).finish(),
-        }
-    }
-}
-
 /// Evaluates a converted [`ConvNet`] through the table-lookup path, using
 /// (and warming) the runtime's engine cache at the given numerics.
 ///
 /// A thin wrapper over [`crate::ModelSession`]: every test image is
 /// submitted through the whole-model front door (flushed in `batch_size`
 /// groups), which is bit-identical to the batched eval forward because
-/// per-example logits are independent of batch grouping.
+/// per-example logits are independent of batch grouping. An example the
+/// session fails to accept or resolve counts as incorrect.
 pub fn eval_images_deployed(
     rt: &mut LutRuntime,
     net: &ConvNet,
@@ -396,8 +153,7 @@ pub fn eval_images_deployed(
     let mut pending = Vec::with_capacity(batch_size.max(1));
     for i in 0..data.len() {
         let (image, label) = data.example(i);
-        let handle = session.submit(image).expect("dataset example is valid");
-        pending.push((handle, label));
+        pending.push((session.submit(image), label));
         if pending.len() == batch_size.max(1) || i + 1 == data.len() {
             session.flush();
             correct += drain_correct(&mut pending);
@@ -424,10 +180,7 @@ pub fn eval_seq_deployed(
     let mut pending = Vec::with_capacity(batch_size.max(1));
     for i in 0..data.len() {
         let (tokens, label) = data.sequence(i);
-        let handle = session
-            .submit(tokens.to_vec())
-            .expect("dataset sequence is valid");
-        pending.push((handle, label));
+        pending.push((session.submit(tokens.to_vec()), label));
         if pending.len() == batch_size.max(1) || i + 1 == data.len() {
             session.flush();
             correct += drain_correct(&mut pending);
@@ -436,15 +189,19 @@ pub fn eval_seq_deployed(
     correct as f32 / data.len().max(1) as f32
 }
 
-/// Resolves a flushed group of handles and counts argmax hits.
-fn drain_correct(pending: &mut Vec<(lutdla_vq::Pending, usize)>) -> usize {
+/// Resolves a flushed group of handles and counts argmax hits; a failed
+/// submit or an unresolved handle is a miss.
+fn drain_correct(pending: &mut Vec<(Result<Pending, ServeError>, usize)>) -> usize {
     pending
         .drain(..)
         .filter(|(handle, label)| {
-            let logits = handle
-                .try_wait()
-                .expect("session alive")
-                .expect("handle was flushed");
+            let Some(logits) = handle
+                .as_ref()
+                .ok()
+                .and_then(|h| h.try_wait().ok().flatten())
+            else {
+                return false;
+            };
             // First-wins tie-break, matching `Tensor::argmax_last_axis`
             // (so accuracies agree with the batched eval loops exactly).
             let mut best = 0;

@@ -33,9 +33,12 @@
 //!   model coalesce into shared engine calls while staying bit-identical
 //!   to solo sessions;
 //! * [`DecodeSession`] — token-streaming autoregressive serving
-//!   ([`SessionBuilder::build_decode`]): each `step` re-encodes only the
-//!   new token's rows, splicing the prefix's packed codes from per-stage
-//!   [`DecodeStageCache`]s, bit-identical to a full-sequence re-eval.
+//!   ([`SessionBuilder::build_decode`]): each `step` runs only the new
+//!   token's rows through the model — every LUT stage encodes and looks up
+//!   just those rows, and attention reads a per-session key/value cache —
+//!   bit-identical to a full-sequence re-eval. It compiles the same
+//!   [`UnitPlan`] as a [`ModelSession`] and reports the same per-stage
+//!   counters.
 //!
 //! All serving sessions are built through one front door,
 //! [`LutRuntime::serve`] (whole-model) / [`LutRuntime::serve_layer`]
@@ -96,8 +99,7 @@ pub use convert::{
     as_lut, as_lut_mut, lutify_convnet, lutify_transformer, CentroidInit, ConvertPolicy, LutHandles,
 };
 pub use deploy::{
-    eval_images_deployed, eval_seq_deployed, lut_layers, undeploy_units, DecodePlan,
-    DecodeStageCache, DecodeStageStats, DeployConfig, UnitPlan,
+    eval_images_deployed, eval_seq_deployed, lut_layers, undeploy_units, DeployConfig, UnitPlan,
 };
 pub use fold::{fold_bn_into_weight, fold_bn_param, BnParams};
 pub use gateway::{

@@ -14,7 +14,6 @@
 //!   `Lre = ‖SG(ÂW) − AW‖² + ‖ÂW − SG(AW)‖²` weighted by `recon_weight`.
 
 use std::cell::RefCell;
-use std::rc::Rc;
 use std::sync::Arc;
 
 use lutdla_nn::{CustomOp, Graph, NodeId, ParamId, ParamSet};
@@ -22,7 +21,6 @@ use lutdla_tensor::Tensor;
 use lutdla_vq::{Codebook, Distance, EngineStage, ProductQuantizer, SharedEngine};
 use rand::Rng;
 
-use crate::deploy::DecodeStageCache;
 use lutdla_models::trainable::GemmOp;
 
 /// Hyper-parameters of a LUT operator.
@@ -67,27 +65,15 @@ pub struct LutGemm {
     deploy: RefCell<Option<DeployState>>,
 }
 
-/// Frozen inference artifacts: the route a deployed layer's eval forwards
-/// take, stamped with the parameter version the engine's tables were built
-/// at so serving stale tables is caught in debug builds.
+/// Frozen inference artifacts: the stage a deployed layer's eval forwards
+/// run through — the engine, called on the caller's thread and counted,
+/// bit-identical to `run_batch` on the same rows — stamped with the
+/// parameter version the engine's tables were built at so serving stale
+/// tables is caught in debug builds. [`crate::LutRuntime::deploy`] and
+/// every session stage use this one route.
 struct DeployState {
     params_version: u64,
-    route: Route,
-}
-
-/// Where a deployed layer's eval forwards go. Either way the engine runs
-/// on the caller's thread, and the output is bit-identical to `run_batch`
-/// on the same rows.
-#[derive(Clone)]
-pub(crate) enum Route {
-    /// Straight into the engine through an [`EngineStage`], which counts
-    /// the call. [`crate::LutRuntime::deploy`] and every
-    /// [`crate::ModelSession`] stage use this route.
-    Stage(Arc<EngineStage>),
-    /// Through a step-to-step prefix cache: unchanged leading rows reuse
-    /// their packed codes and only new rows re-walk the codebook. A
-    /// [`crate::DecodeSession`] routes every LUT stage this way.
-    Decode(Rc<DecodeStageCache>),
+    stage: Arc<EngineStage>,
 }
 
 /// One session's routes, installed on its layers for the span of one
@@ -100,13 +86,13 @@ pub(crate) struct InstalledRoutes<'a> {
 
 impl<'a> InstalledRoutes<'a> {
     /// Installs `routes` (all frozen at `params_version`).
-    pub(crate) fn install(routes: &[(&'a LutGemm, Route)], params_version: u64) -> Self {
+    pub(crate) fn install(routes: &[(&'a LutGemm, Arc<EngineStage>)], params_version: u64) -> Self {
         let saved = routes
             .iter()
-            .map(|(lut, route)| {
+            .map(|(lut, stage)| {
                 let state = DeployState {
                     params_version,
-                    route: route.clone(),
+                    stage: Arc::clone(stage),
                 };
                 (*lut, lut.deploy.replace(Some(state)))
             })
@@ -244,7 +230,7 @@ impl LutGemm {
     pub fn install_deploy(&self, engine: SharedEngine, params_version: u64) {
         *self.deploy.borrow_mut() = Some(DeployState {
             params_version,
-            route: Route::Stage(Arc::new(EngineStage::new(engine, None))),
+            stage: Arc::new(EngineStage::new(engine, None)),
         });
     }
 
@@ -257,10 +243,10 @@ impl LutGemm {
 
     /// The installed engine handle, if the layer is deployed.
     pub fn deployed_engine(&self) -> Option<SharedEngine> {
-        self.deploy.borrow().as_ref().map(|d| match &d.route {
-            Route::Stage(stage) => Arc::clone(stage.engine()),
-            Route::Decode(cache) => Arc::clone(cache.engine()),
-        })
+        self.deploy
+            .borrow()
+            .as_ref()
+            .map(|d| Arc::clone(d.stage.engine()))
     }
 
     /// Quantizes activations `x: [M, K]` to `(Â, assignments)`.
@@ -358,10 +344,7 @@ impl GemmOp for LutGemm {
                     "stale DeployState: parameters changed since deployment \
                      (re-deploy, or let the trainer's stage transitions clear it)"
                 );
-                let y = match &d.route {
-                    Route::Stage(stage) => stage.run(g.value(x)),
-                    Route::Decode(cache) => cache.eval(g.value(x)),
-                };
+                let y = d.stage.run(g.value(x));
                 return g.input(y);
             }
         }
@@ -608,7 +591,7 @@ mod tests {
         rt.deploy_layers([&lut], &ps);
         let deployed = lut.deployed_engine().expect("deployed");
         let other = rt.engine_with(&lut, &ps, crate::DeployConfig::bf16_int8());
-        let route = Route::Stage(Arc::new(EngineStage::new(Arc::clone(&other), None)));
+        let route = Arc::new(EngineStage::new(Arc::clone(&other), None));
         let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let _routes = InstalledRoutes::install(&[(&lut, route)], ps.version());
             let live = lut.deployed_engine().expect("route installed");
@@ -620,7 +603,7 @@ mod tests {
         assert!(Arc::ptr_eq(&restored, &deployed), "unwind lost the deploy");
         // Without a prior deploy, the guard leaves the layer undeployed.
         lut.clear_deploy();
-        let route = Route::Stage(Arc::new(EngineStage::new(other, None)));
+        let route = Arc::new(EngineStage::new(other, None));
         drop(InstalledRoutes::install(&[(&lut, route)], ps.version()));
         assert!(lut.deployed_engine().is_none());
     }

@@ -22,9 +22,10 @@
 //!    per-call thread spawns and keeping a many-layer model from
 //!    oversubscribing the machine.
 //! 3. **Session builders** — [`LutRuntime::serve`] compiles a whole-model
-//!    [`ModelSession`] or a token-streaming [`DecodeSession`] whose LUT
-//!    stages call their cached engines directly on the caller's thread,
-//!    and [`LutRuntime::serve_layer`] builds a single-layer
+//!    [`ModelSession`] or a token-streaming [`DecodeSession`] — one plan
+//!    shape for both, whose LUT stages call their cached engines directly
+//!    on the caller's thread (a decode step feeds them only its new
+//!    rows) — and [`LutRuntime::serve_layer`] builds a single-layer
 //!    [`MicroBatcher`] front door that coalesces single-row `submit` calls
 //!    into batched `run_batch` calls. Every path is bit-identical to
 //!    direct batching.
@@ -43,7 +44,6 @@
 //! ```
 
 use std::collections::HashMap;
-use std::rc::Rc;
 use std::sync::Arc;
 
 use lutdla_models::trainable::{DenseUnit, ServableModel};
@@ -54,8 +54,8 @@ use lutdla_vq::{
 };
 
 use crate::convert::as_lut;
-use crate::deploy::{lut_layers, DecodePlan, DecodeStageCache, DeployConfig, UnitPlan};
-use crate::lut_gemm::{LutGemm, Route};
+use crate::deploy::{lut_layers, DeployConfig, UnitPlan};
+use crate::lut_gemm::LutGemm;
 use crate::session::{DecodeSession, ModelSession};
 
 /// What uniquely identifies a tiled engine: whose weights (set identity +
@@ -425,7 +425,33 @@ impl<'m, M: ServableModel> SessionBuilder<'_, 'm, M> {
     /// routes onto the layers and restores the previous ones afterwards,
     /// so any number of sessions (and a live [`LutRuntime::deploy`]) can
     /// coexist over one model.
-    pub fn build_model(self) -> ModelSession<'m, M> {
+    pub fn build_model(mut self) -> ModelSession<'m, M> {
+        let (plan, routes) = self.compile();
+        ModelSession::new(self.model, self.ps, plan, routes)
+    }
+
+    /// Builds the token-streaming [`DecodeSession`]: `step(tokens)` grows
+    /// the sequence and serves the prefix's logits, running only the new
+    /// positions through the model (see [`DecodeSession`]). Its plan is the
+    /// one [`SessionBuilder::build_model`] compiles.
+    ///
+    /// Fails with [`ServeError::Invalid`] when the model has no
+    /// incremental-forward contract ([`ServableModel::decode_contract`] —
+    /// e.g. a bidirectional transformer, whose every row changes each
+    /// step).
+    pub fn build_decode(mut self) -> Result<DecodeSession<'m, M>, ServeError> {
+        self.model
+            .decode_contract()
+            .map_err(|reason| ServeError::Invalid { reason })?;
+        let (plan, routes) = self.compile();
+        Ok(DecodeSession::new(self.model, self.ps, plan, routes))
+    }
+
+    /// Compiles the model's unit walk: one [`UnitPlan`] per dense unit, and
+    /// for every LUT unit the [`EngineStage`] route its eval forwards take
+    /// (engine resolved through the runtime cache, with a fresh per-stage
+    /// memo when enabled).
+    fn compile(&mut self) -> (Vec<UnitPlan>, Vec<(&'m LutGemm, Arc<EngineStage>)>) {
         let walk = self.model.unit_walk();
         let mut plan = Vec::with_capacity(walk.len());
         let mut routes = Vec::new();
@@ -435,44 +461,13 @@ impl<'m, M: ServableModel> SessionBuilder<'_, 'm, M> {
                 Some(lut) => {
                     let engine = self.rt.engine_with(lut, self.ps, self.cfg);
                     let stage = Arc::new(EngineStage::new(engine, self.rt.stage_memo()));
-                    routes.push((lut, Route::Stage(Arc::clone(&stage))));
+                    routes.push((lut, Arc::clone(&stage)));
                     plan.push(UnitPlan::Lut { name, stage });
                 }
                 None => plan.push(UnitPlan::Dense { name }),
             }
         }
-        ModelSession::new(self.model, self.ps, plan, routes)
-    }
-
-    /// Builds the token-streaming [`DecodeSession`]: `step(tokens)` grows
-    /// the sequence and serves the prefix's logits, with every LUT stage
-    /// reusing the prefix's packed codes across steps (see
-    /// [`DecodeSession`]).
-    ///
-    /// Fails with [`ServeError::Invalid`] when the model has no
-    /// incremental-forward contract ([`ServableModel::decode_contract`] —
-    /// e.g. a bidirectional transformer, whose every row changes each
-    /// step).
-    pub fn build_decode(self) -> Result<DecodeSession<'m, M>, ServeError> {
-        self.model
-            .decode_contract()
-            .map_err(|reason| ServeError::Invalid { reason })?;
-        let walk = self.model.unit_walk();
-        let mut plan = Vec::with_capacity(walk.len());
-        let mut routes = Vec::new();
-        for unit in walk {
-            let name = unit.name.clone();
-            match as_lut(unit) {
-                Some(lut) => {
-                    let engine = self.rt.engine_with(lut, self.ps, self.cfg);
-                    let cache = Rc::new(DecodeStageCache::new(engine, self.rt.stage_memo()));
-                    routes.push((lut, Route::Decode(Rc::clone(&cache))));
-                    plan.push(DecodePlan::Lut { name, cache });
-                }
-                None => plan.push(DecodePlan::Dense { name }),
-            }
-        }
-        Ok(DecodeSession::new(self.model, self.ps, plan, routes))
+        (plan, routes)
     }
 }
 

@@ -27,6 +27,12 @@
 //! resolves with are **bit-identical** to any other batching of the same
 //! example — including the plain `deploy` + `eval_*` path.
 //!
+//! [`DecodeSession`] is the token-streaming twin over the same compiled
+//! plan: each step runs only the new tokens' rows through the model
+//! ([`ServableModel::decode_step`]), so every LUT stage encodes and looks
+//! up just those rows while attention reads the session's key/value
+//! cache of earlier positions.
+//!
 //! A session installs its routes on the model's LUT layers only for the
 //! span of one forward: each flush (and each [`DecodeSession::step`])
 //! swaps the session's routes in and restores whatever the layers held
@@ -36,14 +42,15 @@
 //! model side by side.
 
 use std::cell::{Cell, RefCell};
+use std::sync::Arc;
 
-use lutdla_models::trainable::ServableModel;
+use lutdla_models::trainable::{DecodeCache, ServableModel};
 use lutdla_nn::ParamSet;
 use lutdla_tensor::Tensor;
-use lutdla_vq::{Pending, PendingResolver, ServeError};
+use lutdla_vq::{EngineStage, Pending, PendingResolver, ServeError, StageStats};
 
-use crate::deploy::{DecodePlan, DecodeStageStats, UnitPlan};
-use crate::lut_gemm::{InstalledRoutes, LutGemm, Route};
+use crate::deploy::UnitPlan;
+use crate::lut_gemm::{InstalledRoutes, LutGemm};
 
 /// Front-door coalescing width of a [`ModelSession`], in requests.
 const MAX_BATCH: usize = 64;
@@ -54,7 +61,7 @@ pub struct ModelSession<'m, M: ServableModel> {
     ps: &'m ParamSet,
     plan: Vec<UnitPlan>,
     /// The route of every LUT layer, installed for each flush's forward.
-    routes: Vec<(&'m LutGemm, Route)>,
+    routes: Vec<(&'m LutGemm, Arc<EngineStage>)>,
     classes: usize,
     queue: RefCell<Vec<(M::Input, PendingResolver)>>,
     batches: Cell<usize>,
@@ -69,7 +76,7 @@ impl<'m, M: ServableModel> ModelSession<'m, M> {
         model: &'m M,
         ps: &'m ParamSet,
         plan: Vec<UnitPlan>,
-        routes: Vec<(&'m LutGemm, Route)>,
+        routes: Vec<(&'m LutGemm, Arc<EngineStage>)>,
     ) -> Self {
         Self {
             model,
@@ -172,11 +179,8 @@ impl<'m, M: ServableModel> ModelSession<'m, M> {
     /// Per-stage serving counters, in forward order: `(unit name, stats)`
     /// for every LUT stage ([`UnitPlan::stage_stats`]); dense units are
     /// skipped.
-    pub fn stage_stats(&self) -> Vec<(&str, lutdla_vq::StageStats)> {
-        self.plan
-            .iter()
-            .filter_map(|p| p.stage_stats().map(|s| (p.name(), s)))
-            .collect()
+    pub fn stage_stats(&self) -> Vec<(&str, StageStats)> {
+        stage_stats(&self.plan)
     }
 
     /// How many stages run on LUT engines (the rest take the dense path).
@@ -214,29 +218,31 @@ impl<M: ServableModel> Drop for ModelSession<'_, M> {
     }
 }
 
+/// Per-stage counters of a compiled plan, in forward order: `(unit name,
+/// stats)` for every LUT stage; dense units are skipped.
+fn stage_stats(plan: &[UnitPlan]) -> Vec<(&str, StageStats)> {
+    plan.iter()
+        .filter_map(|p| p.stage_stats().map(|s| (p.name(), s)))
+        .collect()
+}
+
 /// Incremental autoregressive serving session: the token-streaming
 /// counterpart of [`ModelSession`], built by
-/// [`crate::SessionBuilder::build_decode`].
+/// [`crate::SessionBuilder::build_decode`] over the same compiled plan.
 ///
-/// [`DecodeSession::step`] appends new token(s) to the growing sequence
-/// (via [`ServableModel::extend_input`]) and serves the extended prefix's
-/// logits immediately, resolving the returned [`Pending`] with a per-step
-/// timing stamp. Each LUT stage routes through a
-/// [`crate::DecodeStageCache`] installed for the span of each step: the
-/// stage's activation rows for the already-processed prefix keep their
-/// packed codes from the previous step, so only the new token's rows pay
-/// the similarity walk — the encode-once economics of
-/// [`lutdla_vq::LutEngine::run_from_packed`] applied across steps instead
-/// of across engines.
+/// [`DecodeSession::step`] runs only the step's new token(s) through the
+/// model ([`ServableModel::decode_step`]): every LUT stage encodes and
+/// looks up only the new rows, and attention reads the session's
+/// [`DecodeCache`] of earlier positions' key and value rows. The cost of
+/// a step therefore grows only with the O(positions · d) attention and
+/// pooling over the cached rows, not with a whole-prefix forward.
 ///
-/// Because reuse keys on exact activation bit-images and packed codes
-/// fully determine the lookup, step `N`'s logits are **bit-identical** to
-/// a fresh full-sequence [`ModelSession`] eval of the same `N`-token
-/// prefix — for every prefix length and every deployment numerics combo.
-/// Only models with an incremental-forward contract
-/// ([`ServableModel::decode_contract`], e.g. a causal transformer) can be
-/// served: on a bidirectional model every step would change every row and
-/// the cache could never reuse a thing.
+/// Step `N`'s logits are **bit-identical** to a fresh full-sequence
+/// [`ModelSession`] eval of the same `N`-token prefix — for every prefix
+/// length and every deployment numerics combo (the argument is in
+/// [`ServableModel::decode_step`]'s docs). Only models with an
+/// incremental-forward contract ([`ServableModel::decode_contract`], e.g.
+/// a causal transformer) can be served.
 ///
 /// Like [`ModelSession`], a decode session installs its routes only for
 /// the span of each step's forward, so it can share its model with other
@@ -244,23 +250,23 @@ impl<M: ServableModel> Drop for ModelSession<'_, M> {
 pub struct DecodeSession<'m, M: ServableModel> {
     model: &'m M,
     ps: &'m ParamSet,
-    plan: Vec<DecodePlan>,
+    plan: Vec<UnitPlan>,
     /// The route of every LUT layer, installed for each step's forward.
-    routes: Vec<(&'m LutGemm, Route)>,
+    routes: Vec<(&'m LutGemm, Arc<EngineStage>)>,
     classes: usize,
-    prefix: RefCell<Option<M::Input>>,
+    cache: RefCell<DecodeCache>,
     steps: Cell<usize>,
 }
 
 impl<'m, M: ServableModel> DecodeSession<'m, M> {
     /// Called by [`crate::SessionBuilder::build_decode`] with the compiled
-    /// plan and the LUT layers' prefix-cache routes (engines resolved
-    /// through the cache).
+    /// plan and the LUT layers' routes (engines resolved through the
+    /// cache).
     pub(crate) fn new(
         model: &'m M,
         ps: &'m ParamSet,
-        plan: Vec<DecodePlan>,
-        routes: Vec<(&'m LutGemm, Route)>,
+        plan: Vec<UnitPlan>,
+        routes: Vec<(&'m LutGemm, Arc<EngineStage>)>,
     ) -> Self {
         Self {
             model,
@@ -268,43 +274,32 @@ impl<'m, M: ServableModel> DecodeSession<'m, M> {
             plan,
             routes,
             classes: model.num_classes(),
-            prefix: RefCell::new(None),
+            cache: RefCell::new(DecodeCache::default()),
             steps: Cell::new(0),
         }
     }
 
     /// Extends the sequence with `step` (one or more new tokens) and runs
-    /// one incremental forward over the grown prefix. The returned handle
-    /// is already resolved — with the prefix's logits row (length
-    /// [`DecodeSession::num_classes`]) and this step's timing stamp — so
-    /// `wait()` never blocks; the `Pending` form keeps decode steps
-    /// composable with the rest of the serving surface
+    /// one incremental forward over just those positions. The returned
+    /// handle is already resolved — with the grown prefix's logits row
+    /// (length [`DecodeSession::num_classes`]) and this step's timing
+    /// stamp — so `wait()` never blocks; the `Pending` form keeps decode
+    /// steps composable with the rest of the serving surface
     /// ([`Pending::chain`], gateway relays, latency accounting).
     ///
-    /// The first step seeds the sequence and must pass the model's input
-    /// validation; later steps go through
-    /// [`ServableModel::extend_input`]. A rejected step leaves the prefix
-    /// unchanged.
+    /// A step the model rejects (an empty step, an out-of-vocabulary
+    /// token, a sequence past the model's maximum length) fails with
+    /// [`ServeError::InvalidInput`] and leaves the prefix unchanged: the
+    /// session's cache grows only once the forward has returned.
     pub fn step(&self, step: M::Input) -> Result<Pending, ServeError> {
-        let grown = match self.prefix.borrow().as_ref() {
-            Some(prefix) => self
-                .model
-                .extend_input(prefix, &step)
-                .map_err(ServeError::InvalidInput)?,
-            None => {
-                self.model
-                    .validate_input(&step)
-                    .map_err(ServeError::InvalidInput)?;
-                step
-            }
-        };
         let logits = {
             let _routes = InstalledRoutes::install(&self.routes, self.ps.version());
+            let mut cache = self.cache.borrow_mut();
             self.model
-                .forward_logits(self.ps, std::slice::from_ref(&grown))
+                .decode_step(self.ps, &mut cache, &step)
+                .map_err(ServeError::InvalidInput)?
         };
         debug_assert_eq!(logits.dims(), &[1, self.classes]);
-        *self.prefix.borrow_mut() = Some(grown);
         self.steps.set(self.steps.get() + 1);
         let (resolver, pending) = Pending::channel();
         resolver.resolve_at(
@@ -320,16 +315,13 @@ impl<'m, M: ServableModel> DecodeSession<'m, M> {
     }
 
     /// Positions (tokens) in the current prefix — `0` before the first
-    /// step ([`ServableModel::input_positions`]).
+    /// step.
     pub fn prefix_positions(&self) -> usize {
-        self.prefix
-            .borrow()
-            .as_ref()
-            .map_or(0, |p| self.model.input_positions(p))
+        self.cache.borrow().positions()
     }
 
     /// The compiled per-unit plan, in forward order.
-    pub fn plan(&self) -> &[DecodePlan] {
+    pub fn plan(&self) -> &[UnitPlan] {
         &self.plan
     }
 
@@ -343,14 +335,11 @@ impl<'m, M: ServableModel> DecodeSession<'m, M> {
         self.classes
     }
 
-    /// Per-stage prefix-reuse counters, in forward order: `(unit name,
-    /// stats)` for every LUT stage; dense units are skipped. On a causal
-    /// model, `reused_rows` should dominate from the second step on.
-    pub fn decode_stats(&self) -> Vec<(&str, DecodeStageStats)> {
-        self.plan
-            .iter()
-            .filter_map(|p| p.stage_stats().map(|s| (p.name(), s)))
-            .collect()
+    /// Per-stage serving counters, in forward order — the same shape as
+    /// [`ModelSession::stage_stats`]. A one-token step adds exactly one
+    /// row to every LUT stage.
+    pub fn stage_stats(&self) -> Vec<(&str, StageStats)> {
+        stage_stats(&self.plan)
     }
 }
 
@@ -873,8 +862,8 @@ mod tests {
     /// Tentpole acceptance: after N decode steps, the logits of **every**
     /// step are bit-identical to a fresh full-sequence `ModelSession` eval
     /// of the same prefix — at every prefix length, for every
-    /// `LutQuant × FloatPrecision` combo. Prefix-code splicing is a pure
-    /// reuse optimization; it must never change a bit.
+    /// `LutQuant × FloatPrecision` combo. Running only the new positions
+    /// is a pure cost optimization; it must never change a bit.
     #[test]
     fn decode_bit_identical_to_full_sequence_eval_all_combos_all_prefixes() {
         let (ps, net, tokens) = converted_gpt();
@@ -904,48 +893,32 @@ mod tests {
         }
     }
 
-    /// The economics behind the tentpole: from the second step on, every
-    /// LUT stage re-encodes only the new token's rows — the prefix's rows
-    /// splice in as already-packed codes ([`DecodeStageStats`]).
+    /// The economics of incremental decode: a step feeds every LUT stage
+    /// only its new positions' rows, one engine call per stage per step —
+    /// so each stage's row counter equals the number of tokens stepped.
     #[test]
-    fn decode_reuses_prefix_codes_after_the_first_step() {
+    fn decode_stage_rows_equal_the_tokens_stepped() {
         let (ps, net, tokens) = converted_gpt();
         let mut rt = LutRuntime::new(DeployConfig::fp32());
         let decode = rt.decode_session(&net, &ps).expect("causal model");
         assert_eq!((decode.steps(), decode.prefix_positions()), (0, 0));
-
-        let _ = decode.step(vec![tokens[0]]).expect("seed step");
-        for (name, s) in decode.decode_stats() {
-            assert_eq!(s.reused_rows, 0, "stage {name} had nothing to reuse yet");
-            assert!(s.walked_rows > 0, "stage {name} never walked its rows");
-        }
-        let after_first: Vec<u64> = decode
-            .decode_stats()
-            .iter()
-            .map(|(_, s)| s.walked_rows)
-            .collect();
+        assert_eq!(decode.stage_stats().len(), decode.lut_stages());
 
         let steps = 6;
-        for &tok in &tokens[1..steps] {
+        for &tok in &tokens[..steps] {
             let _ = decode.step(vec![tok]).expect("valid step");
         }
-        assert_eq!((decode.steps(), decode.prefix_positions()), (steps, steps));
-        for ((name, s), first_walk) in decode.decode_stats().iter().zip(after_first) {
-            assert!(
-                s.reused_rows > 0,
-                "stage {name} never reused a prefix row across {steps} steps"
-            );
-            // A causal stage re-walks only the appended token's rows: the
-            // per-step walk cost stays flat while reuse grows with the
-            // prefix, so total walked rows stay well under a full re-walk
-            // of every prefix (which would be quadratic in steps).
-            let full_rewalk = first_walk * (steps as u64 * (steps as u64 + 1)) / 2;
-            assert!(
-                s.walked_rows < full_rewalk,
-                "stage {name} walked {} rows — no better than re-encoding \
-                 every prefix from scratch ({full_rewalk})",
-                s.walked_rows
-            );
+        let _ = decode
+            .step(tokens[steps..steps + 3].to_vec())
+            .expect("valid step");
+        assert_eq!(
+            (decode.steps(), decode.prefix_positions()),
+            (steps + 1, steps + 3)
+        );
+        for (name, s) in decode.stage_stats() {
+            assert_eq!(s.rows_served, steps + 3, "stage {name}: rows != tokens");
+            assert_eq!(s.batches_run, steps + 1, "stage {name}: one call per step");
+            assert_eq!(s.queued_high_water, 3, "stage {name}: widest call");
         }
     }
 
@@ -1020,5 +993,61 @@ mod tests {
             Err(ServeError::InvalidInput(_))
         ));
         assert_eq!(decode.prefix_positions(), 16);
+    }
+
+    /// After 16 valid steps on a converted causal transformer with room to
+    /// grow, an out-of-vocabulary step, an empty step and a step past
+    /// `max_seq` each fail with [`ServeError::InvalidInput`] and leave the
+    /// prefix where it was; the next valid step still matches a full
+    /// re-eval bitwise.
+    #[test]
+    fn decode_rejected_steps_leave_the_cache_and_later_steps_bit_identical() {
+        let mut rng = StdRng::seed_from_u64(142);
+        let mut ps = ParamSet::new();
+        let cfg = lutdla_models::trainable::TransformerConfig {
+            max_seq: 32,
+            ..*gpt_mini(&mut ParamSet::new(), 5).config()
+        };
+        let mut net = TransformerClassifier::new(&mut ps, cfg);
+        let tokens: Vec<usize> = (0..4 * 32).map(|i| (i * 11 + 2) % 64).collect();
+        let _ = lutify_transformer(
+            &mut net,
+            &mut ps,
+            LutConfig::default(),
+            CentroidInit::Kmeans,
+            ConvertPolicy::default(),
+            &tokens,
+            4,
+            32,
+            &mut rng,
+        );
+        let mut rt = LutRuntime::new(DeployConfig::bf16_int8());
+        let decode = rt.decode_session(&net, &ps).expect("causal model");
+        for &tok in &tokens[..16] {
+            let _ = decode.step(vec![tok]).expect("valid step");
+        }
+        for bad in [vec![64], vec![], tokens[..17].to_vec()] {
+            assert!(
+                matches!(decode.step(bad.clone()), Err(ServeError::InvalidInput(_))),
+                "{bad:?} was not rejected as invalid input"
+            );
+            assert_eq!(decode.prefix_positions(), 16, "{bad:?} grew the prefix");
+        }
+        assert_eq!(decode.steps(), 16);
+        let got = decode
+            .step(vec![tokens[16]])
+            .expect("valid step")
+            .wait()
+            .expect("resolved");
+        let want = rt
+            .serve(&net, &ps)
+            .build_model()
+            .run([tokens[..17].to_vec()])
+            .expect("valid prefix");
+        assert_eq!(
+            got.as_slice(),
+            want.data(),
+            "step after rejections diverged"
+        );
     }
 }

@@ -224,15 +224,36 @@ pub trait ServableModel {
     /// Whether the model honours the **incremental-forward contract** an
     /// autoregressive decode session relies on: inputs are growing
     /// position sequences ([`ServableModel::extend_input`] appends), and
-    /// every per-position activation feeding a dense unit is **bitwise**
-    /// independent of later positions — so a step that appends one token
-    /// leaves the whole prefix's per-stage rows unchanged, and a decode
-    /// cache can re-encode only the new rows. A causal transformer
-    /// ([`TransformerConfig::causal`]) satisfies this; image models and
-    /// bidirectional encoders do not. The default declines with a reason.
+    /// every per-position activation is **bitwise** independent of later
+    /// positions — so [`ServableModel::decode_step`] can run only a step's
+    /// new positions and still match a whole-prefix forward. A causal
+    /// transformer ([`TransformerConfig::causal`]) satisfies this; image
+    /// models and bidirectional encoders do not. The default declines
+    /// with a reason.
     fn decode_contract(&self) -> Result<(), String> {
         Err("model has no incremental-forward contract (decode needs per-position prefix stability)"
             .to_string())
+    }
+
+    /// One incremental decode step: runs only `step`'s new positions
+    /// through the model, reading the earlier positions' state from
+    /// `cache`, and returns the `[1, classes]` logits of the whole grown
+    /// sequence — **bitwise** equal to
+    /// [`forward_logits`](ServableModel::forward_logits) over that
+    /// sequence. Every dense unit sees only the new positions' rows.
+    ///
+    /// `cache` grows by the step's positions only when the forward
+    /// returns; a rejected step (`Err`) or an unwind leaves it as it was.
+    /// Only meaningful when [`ServableModel::decode_contract`] holds; the
+    /// default declines.
+    fn decode_step(
+        &self,
+        ps: &ParamSet,
+        cache: &mut DecodeCache,
+        step: &Self::Input,
+    ) -> Result<Tensor, String> {
+        let _ = (ps, cache, step);
+        Err("model has no incremental-forward contract".to_string())
     }
 
     /// Appends a decode step's tokens onto a growing prefix, validating
@@ -716,9 +737,117 @@ pub struct TransformerConfig {
     /// positions `≤ t`. The mask is additive `-1e30` pre-softmax, which
     /// absorbs any finite score exactly in f32 and underflows `exp` to
     /// `0.0` — so every per-position activation is **bitwise** independent
-    /// of later tokens, the invariant an incremental decode session's
-    /// prefix reuse relies on ([`ServableModel::decode_contract`]).
+    /// of later tokens, the invariant an incremental decode step relies on
+    /// ([`ServableModel::decode_contract`], [`ServableModel::decode_step`]).
     pub causal: bool,
+}
+
+/// Rows of width `d`, one per position, stored transposed —
+/// `data[c·cap + p]` — so the first `keys` positions read out as the
+/// `[d, keys]` matrix attention's `Kᵀ` and the mean-pool consume.
+#[derive(Debug, Clone, Default)]
+struct ColumnRows {
+    data: Vec<f32>,
+    cap: usize,
+}
+
+impl ColumnRows {
+    fn new(d: usize, cap: usize) -> Self {
+        Self {
+            data: vec![0.0; d * cap],
+            cap,
+        }
+    }
+
+    /// Writes `rows` (`[t, d]`) at positions `at..at + t`.
+    fn write(&mut self, at: usize, rows: &[f32]) {
+        let d = self.data.len() / self.cap;
+        for (i, row) in rows.chunks_exact(d).enumerate() {
+            for (c, &x) in row.iter().enumerate() {
+                self.data[c * self.cap + at + i] = x;
+            }
+        }
+    }
+
+    /// The first `keys` positions as a row-major `[d, keys]` matrix.
+    fn read(&self, keys: usize) -> Vec<f32> {
+        let mut out = Vec::with_capacity(self.data.len() / self.cap * keys);
+        for row in self.data.chunks_exact(self.cap) {
+            out.extend_from_slice(&row[..keys]);
+        }
+        out
+    }
+}
+
+/// One encoder block's cached attention rows, kept in the layouts
+/// attention reads them in, so a step copies each out once: keys per head
+/// and transposed (`[H·dh, cap]`, i.e. `Kᵀ` per head), values per head,
+/// `v[(h·cap + p)·dh + j]`.
+#[derive(Debug, Clone)]
+struct KvRows {
+    kt: ColumnRows,
+    v: Vec<f32>,
+}
+
+impl KvRows {
+    fn new(d: usize, cap: usize) -> Self {
+        Self {
+            kt: ColumnRows::new(d, cap),
+            v: vec![0.0; cap * d],
+        }
+    }
+
+    /// Writes rows `past..past + t` (`new_k`, `new_v`: `[t, H·dh]`) and
+    /// returns the first `past + t` positions as attention inputs:
+    /// `(Kᵀ [H, dh, keys], V [H, keys, dh])`.
+    fn append_and_read(
+        &mut self,
+        past: usize,
+        new_k: &[f32],
+        new_v: &[f32],
+        heads: usize,
+    ) -> (Tensor, Tensor) {
+        let cap = self.kt.cap;
+        let d = self.v.len() / cap;
+        let (dh, keys) = (d / heads, past + new_k.len() / d);
+        self.kt.write(past, new_k);
+        for (i, row) in new_v.chunks_exact(d).enumerate() {
+            for (h, head) in row.chunks_exact(dh).enumerate() {
+                let at = (h * cap + past + i) * dh;
+                self.v[at..at + dh].copy_from_slice(head);
+            }
+        }
+        let mut v = Vec::with_capacity(keys * d);
+        for head in self.v.chunks_exact(cap * dh) {
+            v.extend_from_slice(&head[..keys * dh]);
+        }
+        (
+            Tensor::from_vec(self.kt.read(keys), &[heads, dh, keys]),
+            Tensor::from_vec(v, &[heads, keys, dh]),
+        )
+    }
+}
+
+/// Per-sequence state of an incremental decode
+/// ([`ServableModel::decode_step`]): every encoder block's key and value
+/// rows, and the final hidden row of every position — the input of the
+/// mean-pool — sized for the model's whole context on the first step
+/// (about 0.3 MiB at 256 positions, width 64, two blocks). A fresh
+/// (default) cache holds no positions. A step writes its rows past the
+/// served positions and counts them only when its forward returns, so a
+/// rejected or unwound step leaves the served positions untouched.
+#[derive(Debug, Clone, Default)]
+pub struct DecodeCache {
+    blocks: Vec<KvRows>,
+    hidden: ColumnRows,
+    positions: usize,
+}
+
+impl DecodeCache {
+    /// Positions (tokens) served so far.
+    pub fn positions(&self) -> usize {
+        self.positions
+    }
 }
 
 struct EncoderBlock {
@@ -758,11 +887,20 @@ impl EncoderBlock {
         }
     }
 
+    /// The block over `x: [B, T, D]`, the `T` rows following `past`'s
+    /// cached positions. With no past (training, whole-sequence serving)
+    /// the keys and values are this call's own rows; with a past (`B = 1`,
+    /// an incremental decode step) this call's key and value rows are
+    /// written into the cache after its first `past` positions, and
+    /// attention reads all `past + T` of them. Either way the ops are the
+    /// same: project, `bmm` → `scale` → `+mask` → `softmax` → `bmm`,
+    /// project, two norms.
     fn forward(
         &self,
         g: &mut Graph,
         ps: &ParamSet,
-        x: NodeId, // [B, T, D]
+        x: NodeId,
+        past: Option<(&mut KvRows, usize)>,
         sink: &mut Option<&mut Vec<Tensor>>,
     ) -> NodeId {
         let dims = g.value(x).dims().to_vec();
@@ -781,34 +919,47 @@ impl EncoderBlock {
         let v = self.wv.forward(g, ps, flat);
 
         let q3 = g.reshape(q, &[b, t, d]);
-        let k3 = g.reshape(k, &[b, t, d]);
-        let v3 = g.reshape(v, &[b, t, d]);
         let qh = g.split_heads(q3, self.heads);
-        let kh = g.split_heads(k3, self.heads);
-        let vh = g.split_heads(v3, self.heads);
-        let kt = g.transpose_last2(kh);
+        let (kt, vh, past_len) = match past {
+            Some((kv, past_len)) => {
+                debug_assert_eq!(b, 1, "a decode step serves one sequence");
+                let (kt, vh) =
+                    kv.append_and_read(past_len, g.value(k).data(), g.value(v).data(), self.heads);
+                (g.input(kt), g.input(vh), past_len)
+            }
+            None => {
+                let k3 = g.reshape(k, &[b, t, d]);
+                let v3 = g.reshape(v, &[b, t, d]);
+                let kh = g.split_heads(k3, self.heads);
+                let vh = g.split_heads(v3, self.heads);
+                (g.transpose_last2(kh), vh, 0)
+            }
+        };
+        let keys = past_len + t;
         let scores = g.bmm(qh, kt);
         let dh = d / self.heads;
         let scaled = g.scale(scores, 1.0 / (dh as f32).sqrt());
         let masked = if self.causal {
-            // Additive causal mask over `[B·H, T, T]` score blocks. The
-            // f32 ulp at 1e30 is ~1.2e23, so `score + (-1e30)` rounds to
-            // exactly -1e30 for any realistic score, and after the row-max
-            // subtraction `exp` underflows to exactly +0.0 — masked
-            // columns contribute bitwise nothing to softmax or to the
-            // value mix, whatever the future tokens hold. The mask enters
-            // as a gradient-free input leaf, so training backprops through
-            // the add unchanged on the unmasked entries.
+            // Additive causal mask over `[B·H, T, past + T]` score blocks:
+            // query row `i` sits at position `past + i` and masks every
+            // later key. The f32 ulp at 1e30 is ~1.2e23, so
+            // `score + (-1e30)` rounds to exactly -1e30 for any realistic
+            // score, and after the row-max subtraction `exp` underflows to
+            // exactly +0.0 — masked columns contribute bitwise nothing to
+            // softmax or to the value mix, whatever the future tokens
+            // hold. The mask enters as a gradient-free input leaf, so
+            // training backprops through the add unchanged on the
+            // unmasked entries.
             let bh = b * self.heads;
-            let mut mask = vec![0.0f32; bh * t * t];
-            for block in mask.chunks_exact_mut(t * t) {
+            let mut mask = vec![0.0f32; bh * t * keys];
+            for block in mask.chunks_exact_mut(t * keys) {
                 for i in 0..t {
-                    for slot in block[i * t + i + 1..(i + 1) * t].iter_mut() {
+                    for slot in block[i * keys + past_len + i + 1..(i + 1) * keys].iter_mut() {
                         *slot = -1e30;
                     }
                 }
             }
-            let mask_node = g.input(Tensor::from_vec(mask, &[bh, t, t]));
+            let mask_node = g.input(Tensor::from_vec(mask, &[bh, t, keys]));
             g.add(scaled, mask_node)
         } else {
             scaled
@@ -918,28 +1069,14 @@ impl TransformerClassifier {
         assert!(seq_len <= self.cfg.max_seq, "sequence too long");
         assert_eq!(tokens.len(), batch * seq_len, "token buffer mismatch");
         self.aux.borrow_mut().clear();
-        let e = self.emb.lookup(g, ps, tokens); // [B·T, D]
-        let d = self.cfg.d_model;
-        // positional add: tile pos[0..T] across the batch
-        let pos_v = ps.value(self.pos);
-        let mut tiled = vec![0.0f32; batch * seq_len * d];
-        for bi in 0..batch {
-            for t in 0..seq_len {
-                let dst = (bi * seq_len + t) * d;
-                tiled[dst..dst + d].copy_from_slice(&pos_v.data()[t * d..(t + 1) * d]);
-            }
-        }
-        let pos_node = g.input(Tensor::from_vec(tiled, &[batch * seq_len, d]));
-        let x = g.add(e, pos_node);
-        let mut h = g.reshape(x, &[batch, seq_len, d]);
+        let mut h = self.embed(g, ps, tokens, batch, seq_len, 0);
         for b in &self.blocks {
-            h = b.forward(g, ps, h, &mut sink);
+            h = b.forward(g, ps, h, None, &mut sink);
         }
-        // Mean-pool over tokens: [B, T, D] → [B, D] via reshape+transpose.
+        let d = self.cfg.d_model;
         let ht = g.transpose_last2(h); // [B, D, T]
         let flat = g.reshape(ht, &[batch * d, seq_len]);
-        let pooled = g.mean_last_axis_node(flat); // [B·D]
-        let pooled2 = g.reshape(pooled, &[batch, d]);
+        let pooled2 = self.mean_pool(g, flat, batch);
         if let Some(s) = sink {
             s.push(g.value(pooled2).clone());
         }
@@ -951,6 +1088,37 @@ impl TransformerClassifier {
             }
         }
         logits
+    }
+
+    /// Token plus positional embedding of `batch` sequences of `seq_len`
+    /// tokens at positions `offset..offset + seq_len`, as `[B, T, D]`.
+    fn embed(
+        &self,
+        g: &mut Graph,
+        ps: &ParamSet,
+        tokens: &[usize],
+        batch: usize,
+        seq_len: usize,
+        offset: usize,
+    ) -> NodeId {
+        let e = self.emb.lookup(g, ps, tokens); // [B·T, D]
+        let d = self.cfg.d_model;
+        // positional add: tile pos[offset..offset + T] across the batch
+        let pos_v = &ps.value(self.pos).data()[offset * d..(offset + seq_len) * d];
+        let mut tiled = Vec::with_capacity(batch * seq_len * d);
+        for _ in 0..batch {
+            tiled.extend_from_slice(pos_v);
+        }
+        let pos_node = g.input(Tensor::from_vec(tiled, &[batch * seq_len, d]));
+        let x = g.add(e, pos_node);
+        g.reshape(x, &[batch, seq_len, d])
+    }
+
+    /// Mean-pool over tokens: the transposed hidden rows `[B·D, T]` →
+    /// `[B, D]`.
+    fn mean_pool(&self, g: &mut Graph, flat: NodeId, batch: usize) -> NodeId {
+        let pooled = g.mean_last_axis_node(flat); // [B·D]
+        g.reshape(pooled, &[batch, self.cfg.d_model])
     }
 
     /// All dense units in forward order (per block: q,k,v,o,ff1,ff2; head).
@@ -1078,6 +1246,67 @@ impl ServableModel for TransformerClassifier {
                  TransformerConfig::causal = true for decode serving"
                 .to_string())
         }
+    }
+
+    /// The step's tokens run through the same `EncoderBlock::forward`
+    /// as a whole-sequence forward, with each block's cached key and value
+    /// rows as its past, so attention scores `[H, n_new, past + n_new]`
+    /// under the same causal mask. The cached final hidden rows plus the
+    /// new ones feed the same mean-pool, at O(positions · d) per step.
+    ///
+    /// Why this is bitwise equal to the whole-sequence forward: every
+    /// output row of the workspace kernels is bitwise independent of the
+    /// other rows. `matmul_slices` accumulates each output row over `k`
+    /// in ascending order and skips `a == 0.0`; that covers the
+    /// projections, each Q·Kᵀ score, and att·V, where masked weights are
+    /// exactly `0.0` and skipped. Masked scores add
+    /// `exp(-1e30 - max) = +0.0` to a positive softmax sum, after every
+    /// unmasked term. `layer_norm`, `gelu`, bias and residual adds are
+    /// row-local, and LUT engines encode and look up each row on its own.
+    /// So the rows of the earlier positions, computed when they were new,
+    /// equal what a whole-sequence forward computes for them, and so do
+    /// the new rows.
+    fn decode_step(
+        &self,
+        ps: &ParamSet,
+        cache: &mut DecodeCache,
+        step: &Self::Input,
+    ) -> Result<Tensor, String> {
+        self.decode_contract()?;
+        self.validate_input(step)?;
+        let (past, t, d) = (cache.positions, step.len(), self.cfg.d_model);
+        if past + t > self.cfg.max_seq {
+            return Err(format!(
+                "sequence length {} outside 1..={}",
+                past + t,
+                self.cfg.max_seq
+            ));
+        }
+        let cap = self.cfg.max_seq;
+        if past == 0 {
+            cache.blocks = vec![KvRows::new(d, cap); self.blocks.len()];
+            cache.hidden = ColumnRows::new(d, cap);
+        } else if cache.blocks.len() != self.blocks.len()
+            || cache.hidden.cap != cap
+            || cache.hidden.data.len() != d * cap
+        {
+            return Err("decode cache was built by a different model".to_string());
+        }
+
+        let mut g = Graph::new(false);
+        let mut h = self.embed(&mut g, ps, step, 1, t, past);
+        for (block, kv) in self.blocks.iter().zip(&mut cache.blocks) {
+            h = block.forward(&mut g, ps, h, Some((kv, past)), &mut None);
+        }
+        // The mean-pool's `[D, past + T]` input: every position's final
+        // hidden row, transposed.
+        let keys = past + t;
+        cache.hidden.write(past, g.value(h).data());
+        let flat = g.input(Tensor::from_vec(cache.hidden.read(keys), &[d, keys]));
+        let pooled = self.mean_pool(&mut g, flat, 1);
+        let logits = self.head.forward(&mut g, ps, pooled);
+        cache.positions = keys;
+        Ok(g.value(logits).clone())
     }
 
     fn extend_input(
@@ -1389,6 +1618,67 @@ mod tests {
                 a.data()[..12 * d] != b.data()[..12 * d]
             });
         assert!(leaked, "bidirectional prefix rows unexpectedly stable");
+    }
+
+    /// `decode_step` over a plain (unconverted) causal transformer with
+    /// two blocks: one-token steps match the whole-sequence forward
+    /// bitwise at every prefix length, and so does a multi-token step.
+    #[test]
+    fn decode_step_matches_whole_sequence_forward_bitwise() {
+        let mut ps = ParamSet::new();
+        let net = TransformerClassifier::new(
+            &mut ps,
+            TransformerConfig {
+                layers: 2,
+                ..*gpt_mini(&mut ParamSet::new(), 3).config()
+            },
+        );
+        let tokens: Vec<usize> = (0..16).map(|i| (i * 7 + 2) % 64).collect();
+        let mut cache = DecodeCache::default();
+        for n in 1..=16 {
+            let got = net
+                .decode_step(&ps, &mut cache, &vec![tokens[n - 1]])
+                .expect("valid step");
+            let want = net.forward_logits(&ps, &[tokens[..n].to_vec()]);
+            assert_eq!(got.data(), want.data(), "prefix {n} diverged");
+            assert_eq!(cache.positions(), n);
+        }
+        let mut cache = DecodeCache::default();
+        let _ = net.decode_step(&ps, &mut cache, &tokens[..2].to_vec());
+        let got = net
+            .decode_step(&ps, &mut cache, &tokens[2..7].to_vec())
+            .expect("valid step");
+        let want = net.forward_logits(&ps, &[tokens[..7].to_vec()]);
+        assert_eq!(got.data(), want.data(), "multi-token step diverged");
+    }
+
+    #[test]
+    fn decode_step_rejects_bad_steps_without_touching_the_cache() {
+        let mut ps = ParamSet::new();
+        let net = gpt_mini(&mut ps, 3);
+        let mut cache = DecodeCache::default();
+        for tok in 0..15 {
+            net.decode_step(&ps, &mut cache, &vec![tok]).expect("valid");
+        }
+        for bad in [vec![], vec![64], vec![1, 2]] {
+            assert!(net.decode_step(&ps, &mut cache, &bad).is_err(), "{bad:?}");
+            assert_eq!(cache.positions(), 15, "{bad:?} grew the cache");
+        }
+        let mut ps = ParamSet::new();
+        let bert = bert_mini(&mut ps, 3);
+        let err = bert
+            .decode_step(&ps, &mut DecodeCache::default(), &vec![1])
+            .expect_err("bidirectional");
+        assert!(err.contains("causal"), "{err}");
+        let mut ps = ParamSet::new();
+        let conv = resnet20_mini(&mut ps, 4);
+        assert!(conv
+            .decode_step(
+                &ps,
+                &mut DecodeCache::default(),
+                &Tensor::zeros(&[3, 16, 16])
+            )
+            .is_err());
     }
 
     #[test]

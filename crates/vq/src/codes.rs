@@ -206,40 +206,6 @@ impl PackedCodes {
         }
     }
 
-    /// Drops every row past the first `rows` (a no-op when the stream is
-    /// already that short or shorter). An incremental decode cache uses
-    /// this to rewind to the longest still-valid prefix before appending
-    /// freshly encoded rows.
-    pub fn truncate_rows(&mut self, rows: usize) {
-        if rows < self.rows {
-            self.rows = rows;
-            self.bytes.truncate(rows * self.row_stride);
-        }
-    }
-
-    /// Appends another stream's rows onto this one. Row blocks are
-    /// fixed-stride, so concatenating the byte streams *is* concatenating
-    /// the row sequences — this is the seam that lets a decode session
-    /// extend a cached prefix stream with just the new token's codes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the streams disagree on `n_sub` or code width, or if
-    /// either byte buffer is not well-formed (`rows × row_stride` bytes) —
-    /// splicing mismatched streams would corrupt every later lookup.
-    pub fn append(&mut self, suffix: &PackedCodes) {
-        assert_eq!(self.n_sub, suffix.n_sub, "appending a different n_sub");
-        assert_eq!(self.width, suffix.width, "appending a different width");
-        assert_eq!(self.bytes.len(), self.expected_bytes(), "truncated stream");
-        assert_eq!(
-            suffix.bytes.len(),
-            suffix.expected_bytes(),
-            "truncated suffix stream"
-        );
-        self.bytes.extend_from_slice(&suffix.bytes);
-        self.rows += suffix.rows;
-    }
-
     /// Number of encoded rows.
     pub fn rows(&self) -> usize {
         self.rows
@@ -525,42 +491,6 @@ mod tests {
                 assert!(stride < width.packed_bytes(n_sub) + ROW_BLOCK_ALIGN);
             }
         }
-    }
-
-    #[test]
-    fn truncate_then_append_splices_row_streams_exactly() {
-        for (n_sub, c) in [(3, 16), (5, 200), (4, 1000)] {
-            let width = CodeWidth::for_centroids(c);
-            let codes: Vec<u16> = (0..8 * n_sub).map(|i| (i * 13 % c) as u16).collect();
-            let whole = PackedCodes::pack(&codes, 8, n_sub, width);
-
-            // Keep 5 rows, then re-append the last 3 from a fresh stream:
-            // the splice must be byte-identical to the original.
-            let mut spliced = whole.clone();
-            spliced.truncate_rows(5);
-            assert_eq!(spliced.rows(), 5);
-            assert_eq!(spliced.bytes().len(), spliced.expected_bytes());
-            let tail = PackedCodes::pack(&codes[5 * n_sub..], 3, n_sub, width);
-            spliced.append(&tail);
-            assert_eq!(spliced.rows(), 8);
-            assert_eq!(spliced.bytes(), whole.bytes(), "splice diverged");
-            assert_eq!(spliced.unpack(), whole.unpack());
-
-            // Truncating past the end is a no-op.
-            let mut same = whole.clone();
-            same.truncate_rows(99);
-            assert_eq!(same.bytes(), whole.bytes());
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "different n_sub")]
-    fn append_rejects_mismatched_streams() {
-        let a_codes = vec![1u16; 2 * 3];
-        let b_codes = vec![1u16; 2 * 4];
-        let mut a = PackedCodes::pack(&a_codes, 2, 3, CodeWidth::W4);
-        let b = PackedCodes::pack(&b_codes, 2, 4, CodeWidth::W4);
-        a.append(&b);
     }
 
     #[test]
